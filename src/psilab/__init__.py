@@ -6,7 +6,7 @@ Modules:
     simplex   -- dense phase-1 simplex feasibility solver
     nogo      -- zero-constraint extraction, analytic and LP contradiction
                  engines, and the contextual escape constructions
-    bohm      -- 1-D spinor wave-packet simulator with guidance trajectories
+    bohm      -- 1-D spinor wave-packet simulator with quantile-map trajectories
     svgplot   -- dependency-free SVG line plots
     cli       -- scenario runner (console script: psilab)
 """
@@ -35,7 +35,7 @@ from .qcore import (
     tensor,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "bohm", "cli", "nogo", "ontology", "qcore", "simplex", "svgplot",

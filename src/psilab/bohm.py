@@ -8,15 +8,18 @@ Particle positions follow the velocity field v = J/rho, so each run is a
 deterministic map from the initial position x0 to a measurement outcome.
 
 Numerics: Crank-Nicolson stepping per component on a uniform grid with
-hard-wall boundaries (norm-preserving by construction), vectorized RK4
-trajectory integration over the stored field history with recursive step
-halving near nodes, and inverse-CDF initial sampling from |psi(0)|^2 with
-a seeded PCG64 generator.
+hard-wall boundaries (norm-preserving by construction), inverse-CDF initial
+sampling from |psi(0)|^2 with a seeded PCG64 generator, and trajectories
+from the 1-D quantile map x_t = F_t^-1(F_0(x0)).  Guidance trajectories in
+one dimension never cross and keep the ensemble |psi|^2-distributed, so the
+point that starts at quantile u of rho_0 sits at quantile u of rho_t.  F_t
+is the cumulative density at cell edges; the stepper conserves the midpoint
+edge current exactly, so F_t is the integral of the flux it carries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -24,15 +27,11 @@ from scipy.linalg import solve_banded
 from . import ontology
 from .qcore import DomainError
 
-# Density threshold (relative to the frame maximum) below which v = J/rho is
-# treated as undefined; trajectory steps touching such cells are halved.
+# Density threshold (relative to the frame maximum) below which v = J/rho and
+# the local spin (|up|^2 - |down|^2)/rho are treated as undefined.
 NODE_EPS_FACTOR = 1e-12
 # |Sigma| must exceed 1 - SIGMA_RESOLVED at the final time to call an outcome.
 SIGMA_RESOLVED = 1e-2
-# Maximum recursive step-halving depth (dt_min = dt / 2**HALVING_DEPTH).
-HALVING_DEPTH = 10
-# A single RK4 step moving farther than this is treated as a node artefact.
-MAX_STEP_JUMP = 1.0
 
 OUTCOME_PLUS = 1
 OUTCOME_MINUS = -1
@@ -201,10 +200,9 @@ def _component_potentials(config: SternGerlachConfig, field_on: bool):
     return base + mag, base - mag
 
 
-def evolve(field0: SpinorField, config: SternGerlachConfig, steps: int) -> SpinorField:
-    """Advance a field by the given number of time steps."""
-    up = field0.up.copy()
-    down = field0.down.copy()
+def _cn_steps(config: SternGerlachConfig, field0: SpinorField, steps: int):
+    """The time-stepping loop: yield (up, down) after each of the steps."""
+    up, down = field0.up, field0.down
     steppers = {}
     for n in range(steps):
         t_mid = field0.t + (n + 0.5) * config.dt
@@ -214,6 +212,14 @@ def evolve(field0: SpinorField, config: SternGerlachConfig, steps: int) -> Spino
             steppers[on] = (_stepper(config, v_up), _stepper(config, v_down))
         up = steppers[on][0](up)
         down = steppers[on][1](down)
+        yield up, down
+
+
+def evolve(field0: SpinorField, config: SternGerlachConfig, steps: int) -> SpinorField:
+    """Advance a field by the given number of time steps."""
+    up, down = field0.up, field0.down
+    for up, down in _cn_steps(config, field0, steps):
+        pass
     return SpinorField(
         x=field0.x, dx=field0.dx, up=up, down=down, t=field0.t + steps * config.dt
     )
@@ -224,12 +230,22 @@ def evolve(field0: SpinorField, config: SternGerlachConfig, steps: int) -> Spino
 # ---------------------------------------------------------------------------
 
 
+def _edge_current(up, down, dx: float, hbar: float, mass: float) -> np.ndarray:
+    """Current through the cells + 1 edges, summed over components.
+
+    Interior edge k + 1/2 carries (hbar / (mass dx)) Im(conj(psi_k) psi_k+1);
+    the hard walls carry none.
+    """
+    j = np.zeros(len(up) + 1)
+    for a in (up, down):
+        j[1:-1] += np.imag(np.conj(a[:-1]) * a[1:])
+    return (hbar / (mass * dx)) * j
+
+
 def density_current(field: SpinorField, hbar: float = 1.0, mass: float = 1.0):
-    """Probability density and the gauge-safe current summed over components."""
-    rho = field.rho()
-    j = np.imag(np.conj(field.up) * np.gradient(field.up, field.dx))
-    j += np.imag(np.conj(field.down) * np.gradient(field.down, field.dx))
-    return rho, (hbar / mass) * j
+    """Probability density and the cell-averaged edge current."""
+    j = _edge_current(field.up, field.down, field.dx, hbar, mass)
+    return field.rho(), 0.5 * (j[:-1] + j[1:])
 
 
 def velocity(field: SpinorField, xq, hbar: float = 1.0, mass: float = 1.0):
@@ -274,18 +290,17 @@ def spin_projection(field: SpinorField, xq):
 
 @dataclass(frozen=True)
 class EvolutionRecord:
-    """Field history sampled every step: density, velocity, local spin.
+    """Field history sampled every step: density and local spin.
 
-    Velocity and spin entries are NaN where the density falls below the node
-    threshold of their frame.  ``continuity`` holds, per step, the largest
-    residual of the discrete conservation law (d_t rho + div J = 0) evaluated
-    with the midpoint current consistent with the implicit stepper.
+    Spin entries are NaN where the density falls below the node threshold of
+    their frame.  ``continuity`` holds, per step, the largest residual of the
+    discrete conservation law (d_t rho + div J = 0) evaluated with the
+    midpoint edge current that the implicit stepper conserves.
     """
 
     config: SternGerlachConfig
     times: np.ndarray
     rho: np.ndarray
-    vel: np.ndarray
     sigma: np.ndarray
     norms: np.ndarray
     continuity: np.ndarray
@@ -293,34 +308,26 @@ class EvolutionRecord:
     final: SpinorField
 
 
-def _frame_arrays(config, up, down):
-    rho = np.abs(up) ** 2 + np.abs(down) ** 2
-    j = np.imag(np.conj(up) * np.gradient(up, config.dx))
-    j += np.imag(np.conj(down) * np.gradient(down, config.dx))
-    mask = rho < NODE_EPS_FACTOR * np.max(rho)
+def _frame_arrays(up, down):
+    up2, down2 = np.abs(up) ** 2, np.abs(down) ** 2
+    rho = up2 + down2
     with np.errstate(divide="ignore", invalid="ignore"):
-        vel = (config.hbar / config.mass) * j / rho
-        sig = (np.abs(up) ** 2 - np.abs(down) ** 2) / rho
-    vel[mask] = np.nan
-    sig[mask] = np.nan
-    return rho, vel, np.clip(sig, -1.0, 1.0)
+        sig = (up2 - down2) / rho
+    sig[rho < NODE_EPS_FACTOR * np.max(rho)] = np.nan
+    return rho, np.clip(sig, -1.0, 1.0)
 
 
 def _continuity_residual(config, up0, down0, up1, down1):
     """Discrete conservation residual over one step.
 
-    Uses the interior-edge current built from the time-midpoint field, which
-    is the current the implicit stepper conserves exactly; hard walls carry
-    zero flux.
+    Uses the edge current of the time-midpoint field, which is the current
+    the implicit stepper conserves exactly.
     """
-    scale = config.hbar / (config.mass * config.dx)
-    j_half = np.zeros(config.cells + 1)
-    for a0, a1 in ((up0, up1), (down0, down1)):
-        mid = 0.5 * (a0 + a1)
-        j_half[1:-1] += scale * np.imag(np.conj(mid[:-1]) * mid[1:])
+    j = _edge_current(0.5 * (up0 + up1), 0.5 * (down0 + down1),
+                      config.dx, config.hbar, config.mass)
     rho0 = np.abs(up0) ** 2 + np.abs(down0) ** 2
     rho1 = np.abs(up1) ** 2 + np.abs(down1) ** 2
-    div = (j_half[1:] - j_half[:-1]) / config.dx
+    div = np.diff(j) / config.dx
     return float(np.max(np.abs((rho1 - rho0) / config.dt + div)))
 
 
@@ -330,36 +337,23 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
     if field0 is None:
         field0 = prepare(config, theta)
     n_steps = config.n_steps
-    n = config.cells
     times = field0.t + config.dt * np.arange(n_steps + 1)
-    rho = np.empty((n_steps + 1, n))
-    vel = np.empty((n_steps + 1, n))
-    sig = np.empty((n_steps + 1, n))
-    norms = np.empty(n_steps + 1)
+    rho = np.empty((n_steps + 1, config.cells))
+    sig = np.empty_like(rho)
     cont = np.empty(n_steps)
 
-    up = field0.up.copy()
-    down = field0.down.copy()
-    rho[0], vel[0], sig[0] = _frame_arrays(config, up, down)
-    norms[0] = np.sum(rho[0]) * config.dx
-    steppers = {}
-    for k in range(n_steps):
-        t_mid = times[k] + 0.5 * config.dt
-        on = config.t_on <= t_mid < config.t_off
-        if on not in steppers:
-            v_up, v_down = _component_potentials(config, on)
-            steppers[on] = (_stepper(config, v_up), _stepper(config, v_down))
-        up_new = steppers[on][0](up)
-        down_new = steppers[on][1](down)
-        cont[k] = _continuity_residual(config, up, down, up_new, down_new)
-        up, down = up_new, down_new
-        rho[k + 1], vel[k + 1], sig[k + 1] = _frame_arrays(config, up, down)
-        norms[k + 1] = np.sum(rho[k + 1]) * config.dx
+    up, down = field0.up, field0.down
+    rho[0], sig[0] = _frame_arrays(up, down)
+    for k, (up1, down1) in enumerate(_cn_steps(config, field0, n_steps)):
+        cont[k] = _continuity_residual(config, up, down, up1, down1)
+        up, down = up1, down1
+        rho[k + 1], sig[k + 1] = _frame_arrays(up, down)
 
     final = SpinorField(x=config.x, dx=config.dx, up=up, down=down, t=times[-1])
     return EvolutionRecord(
-        config=config, times=times, rho=rho, vel=vel, sigma=sig,
-        norms=norms, continuity=cont, initial=field0, final=final,
+        config=config, times=times, rho=rho, sigma=sig,
+        norms=np.sum(rho, axis=1) * config.dx, continuity=cont,
+        initial=field0, final=final,
     )
 
 
@@ -391,106 +385,75 @@ class EnsembleTrajectories:
     outcomes: np.ndarray
 
 
-class _VelocitySampler:
-    """Space/time linear interpolation of the recorded velocity grid."""
-
-    def __init__(self, record: EvolutionRecord):
-        self.record = record
-        self.t0 = float(record.times[0])
-        self.dt = float(record.config.dt)
-        self.n_max = record.vel.shape[0] - 1
-
-    def __call__(self, xq, t):
-        s = (t - self.t0) / self.dt
-        i0 = min(int(np.floor(s)), self.n_max - 1)
-        i0 = max(i0, 0)
-        w = min(max(s - i0, 0.0), 1.0)
-        row = (1.0 - w) * self.record.vel[i0] + w * self.record.vel[i0 + 1]
-        return np.interp(xq, self.record.config.x, row, left=np.nan, right=np.nan)
-
-
-def _rk4_span(v_at, x, t0, t1, depth):
-    """One adaptive RK4 step; halves recursively where the velocity fails."""
-    h = t1 - t0
-    tm = t0 + 0.5 * h
-    k1 = v_at(x, t0)
-    k2 = v_at(x + 0.5 * h * k1, tm)
-    k3 = v_at(x + 0.5 * h * k2, tm)
-    k4 = v_at(x + h * k3, t1)
-    x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    with np.errstate(invalid="ignore"):
-        bad = ~np.isfinite(x_new) | (np.abs(x_new - x) > MAX_STEP_JUMP)
-    if not np.any(bad):
-        return x_new, np.ones(x.shape, dtype=bool)
-    ok = ~bad
-    if depth >= HALVING_DEPTH:
-        x_new[bad] = x[bad]
-        return x_new, ok
-    x_half, ok_half = _rk4_span(v_at, x[bad], t0, tm, depth + 1)
-    x_full, ok_full = _rk4_span(v_at, x_half, tm, t1, depth + 1)
-    x_new[bad] = np.where(ok_half & ok_full, x_full, x[bad])
-    ok[bad] = ok_half & ok_full
-    return x_new, ok
+def _edge_cdf(x, dx, rho):
+    """Cell edges and the normalized cumulative density at them."""
+    edges = np.concatenate(([x[0] - 0.5 * dx], x + 0.5 * dx))
+    cdf = np.concatenate(([0.0], np.cumsum(rho) * dx))
+    return edges, cdf / cdf[-1]
 
 
 def integrate_ensemble(record: EvolutionRecord, x0s,
                        keep_paths: bool = False) -> EnsembleTrajectories:
-    """Integrate dx/dt = v(x, t) for many initial points at once."""
-    x = np.array(x0s, dtype=float)
-    if x.ndim != 1:
-        raise DomainError("initial positions must form a 1-D sequence")
-    v_at = _VelocitySampler(record)
-    alive = np.ones(x.shape, dtype=bool)
-    times = record.times
-    paths = np.empty((len(times), len(x))) if keep_paths else None
-    if keep_paths:
-        paths[0] = x
-    for k in range(len(times) - 1):
-        if np.any(alive):
-            x_new, ok = _rk4_span(v_at, x[alive], times[k], times[k + 1], 0)
-            idx = np.flatnonzero(alive)
-            x[idx] = x_new
-            alive[idx[~ok]] = False
-        if keep_paths:
-            paths[k + 1] = x
+    """Carry many initial points along the flow by the quantile map.
 
-    grid = record.config.x
-    final_sigma = np.interp(x, grid, record.sigma[-1])
-    outcomes = np.zeros(x.shape, dtype=int)
-    resolved = alive & np.isfinite(final_sigma) & (
+    The point starting at x0 sits at x_t = F_t^-1(F_0(x0)) at every recorded
+    time; only the final frame is read unless ``keep_paths`` is set.
+    """
+    x0 = np.array(x0s, dtype=float)
+    if x0.ndim != 1:
+        raise DomainError("initial positions must form a 1-D sequence")
+    grid, dx = record.config.x, record.config.dx
+    edges, cdf = _edge_cdf(grid, dx, record.rho[0])
+    u = np.interp(x0, edges, cdf)
+
+    def position(k):
+        edges, cdf = _edge_cdf(grid, dx, record.rho[k])
+        return np.interp(u, cdf, edges)
+
+    times = record.times
+    paths = None
+    if keep_paths:
+        paths = np.array([position(k) for k in range(len(times))])
+    final_x = position(-1) if paths is None else paths[-1]
+    final_sigma = np.interp(final_x, grid, record.sigma[-1])
+    outcomes = np.zeros(x0.shape, dtype=int)
+    resolved = np.isfinite(final_sigma) & (
         np.abs(final_sigma) > 1.0 - SIGMA_RESOLVED
     )
     outcomes[resolved] = np.sign(final_sigma[resolved]).astype(int)
     return EnsembleTrajectories(
-        times=times, x0=np.array(x0s, dtype=float), paths=paths,
-        final_x=x, final_sigma=final_sigma, outcomes=outcomes,
+        times=times, x0=x0, paths=paths,
+        final_x=final_x, final_sigma=final_sigma, outcomes=outcomes,
     )
+
+
+def integrate_trajectories(record: EvolutionRecord, x0s) -> list[Trajectory]:
+    """Full paths with their local spin record, one per initial point."""
+    ens = integrate_ensemble(record, x0s, keep_paths=True)
+    grid = record.config.x
+    sigmas = np.array([
+        np.interp(xs, grid, sig) for xs, sig in zip(ens.paths, record.sigma)
+    ])
+    return [
+        Trajectory(
+            x0=float(ens.x0[i]), times=record.times, xs=ens.paths[:, i],
+            sigmas=sigmas[:, i],
+            outcome=int(out) if out != OUTCOME_UNRESOLVED else None,
+        )
+        for i, out in enumerate(ens.outcomes)
+    ]
 
 
 def integrate_trajectory(x0: float, record: EvolutionRecord) -> Trajectory:
     """Single-point convenience wrapper keeping the full path."""
-    ens = integrate_ensemble(record, [x0], keep_paths=True)
-    xs = ens.paths[:, 0]
-    sigmas = np.empty(len(record.times))
-    for k in range(len(record.times)):
-        sigmas[k] = np.interp(xs[k], record.config.x, record.sigma[k])
-    outcome = int(ens.outcomes[0])
-    return Trajectory(
-        x0=float(x0), times=record.times, xs=xs, sigmas=sigmas,
-        outcome=outcome if outcome != OUTCOME_UNRESOLVED else None,
-    )
+    return integrate_trajectories(record, [x0])[0]
 
 
 def sample_initial(field0: SpinorField, n: int, seed: int) -> np.ndarray:
     """Inverse-CDF samples from |psi(0)|^2 using a seeded PCG64 stream."""
     if n < 1:
         raise DomainError(f"need at least one sample, got n={n}")
-    rho = field0.rho()
-    edges = np.concatenate(
-        ([field0.x[0] - 0.5 * field0.dx], field0.x + 0.5 * field0.dx)
-    )
-    cdf = np.concatenate(([0.0], np.cumsum(rho) * field0.dx))
-    cdf /= cdf[-1]
+    edges, cdf = _edge_cdf(field0.x, field0.dx, field0.rho())
     rng = np.random.Generator(np.random.PCG64(seed))
     return np.interp(rng.random(n), cdf, edges)
 
@@ -552,12 +515,7 @@ def run_ensemble(config: SternGerlachConfig, theta: float, n: int,
 
 def ks_distance(samples: np.ndarray, field: SpinorField) -> float:
     """Kolmogorov-Smirnov distance of samples against the field's |psi|^2."""
-    rho = field.rho()
-    edges = np.concatenate(
-        ([field.x[0] - 0.5 * field.dx], field.x + 0.5 * field.dx)
-    )
-    cdf = np.concatenate(([0.0], np.cumsum(rho) * field.dx))
-    cdf /= cdf[-1]
+    edges, cdf = _edge_cdf(field.x, field.dx, field.rho())
     s = np.sort(np.asarray(samples, dtype=float))
     model = np.interp(s, edges, cdf)
     n = len(s)
@@ -654,9 +612,7 @@ def beam_splitter_scene(prep: str, n: int, seed: int,
     record = simulate(config, field0=field0)
     x0s = sample_initial(field0, n, seed)
     ens = integrate_ensemble(record, x0s)
-    finite = np.isfinite(ens.final_x)
-    in_grid = finite & (ens.final_x > config.x_min) & (ens.final_x < config.x_max)
-    resolved = in_grid & (np.abs(ens.final_x) > 2.0 * BARRIER_WIDTH)
+    resolved = np.abs(ens.final_x) > 2.0 * BARRIER_WIDTH
     gate3 = int(np.sum(resolved & (ens.final_x > 0)))
     gate4 = int(np.sum(resolved & (ens.final_x < 0)))
     n_unres = n - gate3 - gate4
@@ -713,7 +669,7 @@ def bohm_ont_model(thetas=(np.pi / 3, np.pi / 2),
         )
         record = simulate(config, theta)
         ens = integrate_ensemble(record, centers)
-        plus = np.isfinite(ens.final_x) & (ens.final_x > 0)
+        plus = ens.final_x > 0
         table = np.zeros((2, len(cells)))
         table[0, plus] = 1.0
         table[1, ~plus] = 1.0

@@ -130,8 +130,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default=None,
                         help="output directory (default: $PSILAB_OUT or .)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count for ensembles (1 = reproducible default)")
     parser.add_argument("--csv", action="store_true", help="emit CSV artifacts")
     parser.add_argument("--svg", action="store_true", help="emit SVG artifacts")
 
@@ -308,20 +306,18 @@ def _parser_bohm_sg() -> argparse.ArgumentParser:
     return p
 
 
-def _paths_to_trajectories(record, ens):
-    trajs = []
-    grid = record.config.x
-    for i in range(ens.paths.shape[1]):
-        xs = ens.paths[:, i]
-        sigmas = np.array(
-            [np.interp(xs[k], grid, record.sigma[k]) for k in range(len(xs))]
-        )
-        outcome = int(ens.outcomes[i])
-        trajs.append(bohm.Trajectory(
-            x0=float(ens.x0[i]), times=record.times, xs=xs, sigmas=sigmas,
-            outcome=outcome if outcome != bohm.OUTCOME_UNRESOLVED else None,
+def _write_paths(ns, out, stem, title, record, x0s) -> None:
+    """CSV and/or SVG of the first ``ns.paths`` trajectories, as requested."""
+    if not (ns.csv or ns.svg) or ns.paths < 1:
+        return
+    trajs = bohm.integrate_trajectories(record, x0s[: ns.paths])
+    if ns.csv:
+        _write(out, f"{stem}_trajectories.csv", bohm.trajectories_to_csv(trajs))
+    if ns.svg:
+        series = [(tr.times, tr.xs) for tr in trajs]
+        _write(out, f"{stem}_trajectories.svg", svgplot.render_lines(
+            series, title=title, x_label="t", y_label="x"
         ))
-    return trajs
 
 
 def _run_bohm_sg(ns) -> int:
@@ -354,19 +350,7 @@ def _run_bohm_sg(ns) -> int:
         "max_continuity_residual": float(np.max(record.continuity)),
     }
     _emit_json(out, "bohm_sg.json", payload)
-    if (ns.csv or ns.svg) and ns.paths > 0:
-        sub = bohm.integrate_ensemble(
-            record, x0s[: min(ns.paths, ns.n)], keep_paths=True
-        )
-        trajs = _paths_to_trajectories(record, sub)
-        if ns.csv:
-            _write(out, "bohm_sg_trajectories.csv",
-                   bohm.trajectories_to_csv(trajs))
-        if ns.svg:
-            series = [(tr.times, tr.xs) for tr in trajs]
-            _write(out, "bohm_sg_trajectories.svg", svgplot.render_lines(
-                series, title="analyzer trajectories", x_label="t", y_label="x"
-            ))
+    _write_paths(ns, out, "bohm_sg", "analyzer trajectories", record, x0s)
     return 0 if stats.valid else 1
 
 
@@ -401,20 +385,8 @@ def _run_bohm_bs(ns) -> int:
         "valid": res.valid,
     }
     _emit_json(out, "bohm_bs.json", payload)
-    if (ns.csv or ns.svg) and ns.paths > 0:
-        sub = bohm.integrate_ensemble(
-            res.record, res.x0[: min(ns.paths, ns.n)], keep_paths=True
-        )
-        trajs = _paths_to_trajectories(res.record, sub)
-        if ns.csv:
-            _write(out, "bohm_bs_trajectories.csv",
-                   bohm.trajectories_to_csv(trajs))
-        if ns.svg:
-            series = [(tr.times, tr.xs) for tr in trajs]
-            _write(out, "bohm_bs_trajectories.svg", svgplot.render_lines(
-                series, title="beam-splitter trajectories",
-                x_label="t", y_label="x",
-            ))
+    _write_paths(ns, out, "bohm_bs", "beam-splitter trajectories",
+                 res.record, res.x0)
     return 0 if res.valid else 1
 
 
@@ -521,8 +493,6 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(tail)
         _apply_config(parser, ns, tail)
-        if ns.threads < 1:
-            raise UsageError("threads must be at least 1")
         return run(ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

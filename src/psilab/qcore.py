@@ -97,15 +97,12 @@ def ket_minus() -> QState:
     return QState(1, np.array([1.0, -1.0], dtype=complex) / SQRT2)
 
 
-def make_qubit_pair(theta: float, chi: float = 0.0) -> tuple[QState, QState]:
+def make_qubit_pair(theta: float) -> tuple[QState, QState]:
     """Non-orthogonal single-qubit pair with overlap cos(theta).
 
     Returns (cos(t/2)|0> - sin(t/2)|1>, cos(t/2)|0> + sin(t/2)|1>) with
-    t = theta.  The relative phase ``chi`` of the unrotated pair is absorbed
-    into the basis definition and therefore does not appear in the
-    amplitudes; it is accepted for interface symmetry.
+    t = theta.
     """
-    del chi
     if not (0.0 <= theta < np.pi / 2):
         raise DomainError(f"theta must lie in [0, pi/2), got {theta}")
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)

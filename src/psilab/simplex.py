@@ -49,7 +49,6 @@ def phase1(
     # Reduced costs for min sum(artificials): cbar_j = c_j - sum over rows of
     # column j (artificial columns start with cbar = 0).
     cbar = np.concatenate([-np.sum(a, axis=0), np.zeros(m)])
-    obj = float(np.sum(b))
 
     piv_tol = 1e-11
     it = 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psilab import bohm, nogo, ontology as ont
 from psilab.ontology import PsiClass
@@ -245,6 +246,45 @@ class TestTrajectories:
         csv = bohm.trajectories_to_csv([tr])
         assert csv.splitlines()[0] == "traj_id,t,x,sigma"
         assert len(csv.splitlines()) == 1 + len(tr.times)
+
+
+def quantile_oracle(record, x0):
+    """How many points have F_0(x0) above the final mass on the x < 0 side."""
+    cfg = record.config
+    edges = cfg.x_min + cfg.dx * np.arange(cfg.cells + 1)
+    f0 = np.concatenate(([0.0], np.cumsum(record.rho[0]))) / np.sum(record.rho[0])
+    m_minus = np.sum(record.rho[-1][cfg.x < 0]) / np.sum(record.rho[-1])
+    return int(np.sum(np.interp(x0, edges, f0) > m_minus))
+
+
+class TestQuantileOracle:
+    @pytest.mark.parametrize("theta", [np.pi / 3, np.pi / 2])
+    def test_analyzer_counts(self, default_config, record_half, theta):
+        n = 10_000
+        rec = (record_half if theta == np.pi / 2
+               else bohm.simulate(default_config, theta=theta))
+        xs = bohm.sample_initial(rec.initial, n, seed=1)
+        stats = bohm._stats_from_outcomes(
+            bohm.integrate_ensemble(rec, xs).outcomes, seed=1
+        )
+        plus = quantile_oracle(rec, xs)
+        assert (stats.n_plus, stats.n_minus) == (plus, n - plus)
+
+    @pytest.mark.parametrize("prep", bohm.BS_PREPS)
+    def test_beam_splitter_counts(self, prep):
+        n = 400
+        res = bohm.beam_splitter_scene(prep, n, seed=1)
+        gate3 = quantile_oracle(res.record, res.x0)
+        assert (res.gate3, res.gate4) == (gate3, n - gate3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=40))
+def test_quantile_map_keeps_order(record_half, x0):
+    ens = bohm.integrate_ensemble(record_half, x0, keep_paths=True)
+    order = np.argsort(x0, kind="stable")
+    assert np.all(np.diff(ens.final_x[order]) >= 0)
+    assert np.all(np.diff(ens.paths[:, order], axis=1) >= 0)
 
 
 class TestEnsemble:

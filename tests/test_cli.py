@@ -150,9 +150,6 @@ class TestUsage:
     def test_bad_flag_value(self, tmp_path):
         assert run(["pbr-check", "--scene", "nonsense"]) == 2
 
-    def test_threads_validated(self, tmp_path):
-        assert run(["pbr-table", "--threads", "0", "--out", str(tmp_path)]) == 2
-
 
 class TestSelftest:
     def test_all_checks_pass(self, tmp_path, capsys):

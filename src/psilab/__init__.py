@@ -3,15 +3,16 @@
 Modules:
     qcore     -- qubit states, product-state measurement bases, Born rule
     ontology  -- finite hidden-variable models and model-to-Born prediction
-    simplex   -- dense phase-1 simplex feasibility solver
+    simplex   -- phase-1 feasibility via HiGHS, verdicts checked in numpy
     nogo      -- zero-constraint extraction, analytic and LP contradiction
                  engines, and the contextual escape constructions
     bohm      -- 1-D spinor wave-packet simulator with quantile-map trajectories
     svgplot   -- dependency-free SVG line plots
-    cli       -- scenario runner (console script: psilab)
+    cli       -- scenario runner (console script: psilab; imported on
+                 demand so `python -m psilab.cli` runs it only once)
 """
 
-from . import bohm, cli, nogo, ontology, qcore, simplex, svgplot
+from . import bohm, nogo, ontology, qcore, simplex, svgplot
 from .nogo import (
     ContradictionCertificate,
     NoContradiction,

@@ -6,7 +6,8 @@ Parameters come from the command line and/or a flat key=value config file
 byte-identical for identical config + seed, and every JSON payload carries
 a sha256 hash of its resolved scientific parameters.
 
-Exit codes: 0 success, 1 scientific-check failure, 2 usage error.
+Exit codes: 0 success, 1 scientific-check failure, 2 usage error (including
+input outside a documented domain: NogoError, OntologyError, DomainError).
 """
 
 from __future__ import annotations
@@ -185,11 +186,7 @@ def _parser_pbr_check() -> argparse.ArgumentParser:
 def _run_pbr_check(ns) -> int:
     out = _out_dir(ns)
     if ns.scene == "n3":
-        basis = qcore.pbr_basis_n(ns.theta, 3)
-        if isinstance(basis, qcore.NotFound):
-            print(f"error: no 3-copy basis found at theta={ns.theta}",
-                  file=sys.stderr)
-            return 1
+        basis = qcore.pbr_basis_n(ns.theta, 3)  # NotFound -> NogoError
         states = list(qcore.make_qubit_pair(ns.theta))
         problem = nogo.pbr_scene_problem(
             ns.cells_per_support, ns.shared, n=3, basis=basis, states=states
@@ -221,6 +218,7 @@ def _run_pbr_check(ns) -> int:
         "iterations": report.iterations,
         "residual": report.residual,
         "has_certificate": report.certificate is not None,
+        "certificate_margin": report.certificate_margin,
     }
     _emit_json(out, "pbr_check.json", payload)
     return 0 if report.status is expected else 1
@@ -494,7 +492,8 @@ def main(argv=None) -> int:
         ns = parser.parse_args(tail)
         _apply_config(parser, ns, tail)
         return run(ns)
-    except UsageError as exc:
+    except (UsageError, nogo.NogoError, ontology.OntologyError,
+            qcore.DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse's own usage failure

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import product
 
 import numpy as np
+from scipy import sparse
 
 from . import ontology as ont
 from . import qcore
@@ -148,7 +150,7 @@ class FeasibilityProblem:
     arity: int
     cells: np.ndarray  # active lambda cells (indices into the space)
     born: dict  # (outcome index, prep tuple) -> probability
-    a_eq: np.ndarray
+    a_eq: sparse.csr_matrix
     b_eq: np.ndarray
 
     @property
@@ -171,33 +173,24 @@ def build_feasibility_problem(
     for d in densities:
         union[ont.support(d)] = True
     cells = np.flatnonzero(union)
-    mc = len(cells)
-    n_tuples = mc**arity
-    n_vars = n_outcomes * n_tuples
+    n_tuples = len(cells) ** arity
 
-    tuples = list(product(range(mc), repeat=arity))
-    flat = {tup: k for k, tup in enumerate(tuples)}
-
-    rows = []
-    rhs = []
     # Normalization: sum over outcomes at each lambda tuple.
-    for tup in tuples:
-        row = np.zeros(n_vars)
-        for i in range(n_outcomes):
-            row[i * n_tuples + flat[tup]] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    # Reproduction: weighted densities contract the response to the Born value.
+    norm = sparse.hstack([sparse.identity(n_tuples, format="csr")] * n_outcomes)
+    # Reproduction: the Kronecker product of the weighted densities of the
+    # preparation tuple (flattened in itertools.product order), placed in its
+    # outcome's block of columns.
     rho_w = [d.values[cells] * space.weights[cells] for d in densities]
-    for (i, combo), value in sorted(born.items()):
-        row = np.zeros(n_vars)
-        for tup in tuples:
-            coeff = 1.0
-            for j, lam in zip(combo, tup):
-                coeff *= rho_w[j][lam]
-            row[i * n_tuples + flat[tup]] = coeff
-        rows.append(row)
-        rhs.append(value)
+    keys = sorted(born)
+    kron = np.array(
+        [reduce(np.kron, [rho_w[j] for j in combo]) for _, combo in keys]
+    ).reshape(len(keys), n_tuples)
+    r, t = np.nonzero(kron)  # stored entries only, as in the dense count
+    outcome = np.array([i for i, _ in keys], dtype=int)
+    repro = sparse.csr_matrix(
+        (kron[r, t], (r, outcome[r] * n_tuples + t)),
+        shape=(len(keys), n_outcomes * n_tuples),
+    )
     return FeasibilityProblem(
         space=space,
         densities=tuple(densities),
@@ -205,8 +198,8 @@ def build_feasibility_problem(
         arity=arity,
         cells=cells,
         born=dict(born),
-        a_eq=np.array(rows),
-        b_eq=np.array(rhs),
+        a_eq=sparse.vstack([norm, repro], format="csr"),
+        b_eq=np.concatenate([np.ones(n_tuples), [born[k] for k in keys]]),
     )
 
 
@@ -222,10 +215,22 @@ def pbr_scene_problem(
     Uniform preparation densities on two supports of ``cells_per_support``
     cells overlapping in ``shared`` cells; Born values from tensor powers of
     the state pair against the basis.  Defaults to the fixed 2-qubit basis
-    with the pair |0>, |+>.
+    with the pair |0>, |+>.  Raises NogoError for ``cells_per_support < 1``,
+    ``shared`` outside [0, cells_per_support], or a ``qcore.NotFound`` basis.
     """
-    if shared > cells_per_support:
-        raise NogoError("shared cells cannot exceed the support size")
+    if cells_per_support < 1:
+        raise NogoError(
+            f"cells_per_support must be at least 1, got {cells_per_support}"
+        )
+    if not 0 <= shared <= cells_per_support:
+        raise NogoError(
+            f"shared must lie in [0, {cells_per_support}] cells, got {shared}"
+        )
+    if isinstance(basis, qcore.NotFound):
+        raise NogoError(
+            f"no {n}-copy basis: search ended at residual {basis.residual:.3g} "
+            f"after {basis.attempts} attempts"
+        )
     if states is None:
         states = [qcore.ket(0), qcore.ket_plus()]
     if basis is None:
@@ -254,6 +259,8 @@ class FeasibilityReport:
     certificate: ContradictionCertificate | NoContradiction | None
     residual: float
     iterations: int
+    farkas: np.ndarray | None  # checked dual y: A^T y <= tol, b^T y > tol
+    certificate_margin: float | None  # b^T y of the Farkas vector
 
 
 def _certificate_from_problem(
@@ -281,22 +288,28 @@ def _certificate_from_problem(
 
 
 def lp_feasibility(problem: FeasibilityProblem, tol: float = LP_TOL) -> FeasibilityReport:
-    """Phase-1 feasibility decision with witness or certificate.
+    """Phase-1 feasibility decision with checked evidence.
 
-    Feasible: returns the response table found by the solver (verified
-    against the equalities within tol).  Infeasible: the residual is the
-    terminal artificial objective, and the analytic forcing tuple is attached
-    as a cross-check when one exists.  Indeterminate after the iteration cap.
+    Feasible: returns the response table found by the solver, whose residual
+    against the equalities was checked to be within tol.  Infeasible: returns
+    the Farkas vector y checked in numpy (max A^T y <= tol, margin b^T y >
+    tol); the residual is the phase-1 optimum, and the analytic forcing tuple
+    is attached as a cross-check when one exists.  Indeterminate when the
+    solver stops early or neither check passes.
     """
     res = phase1(problem.a_eq, problem.b_eq, tol=tol, max_iter=LP_MAX_ITER)
     if res.status is LpStatus.FEASIBLE:
         xi = res.x.reshape(problem.xi_shape())
         residual = float(np.max(np.abs(problem.a_eq @ res.x - problem.b_eq)))
-        return FeasibilityReport(res.status, xi, None, residual, res.iterations)
+        return FeasibilityReport(
+            res.status, xi, None, residual, res.iterations, None, None
+        )
     if res.status is LpStatus.INFEASIBLE:
-        cert = _certificate_from_problem(problem)
-        return FeasibilityReport(res.status, None, cert, res.objective, res.iterations)
-    return FeasibilityReport(res.status, None, None, np.nan, res.iterations)
+        return FeasibilityReport(
+            res.status, None, _certificate_from_problem(problem), res.objective,
+            res.iterations, res.y, float(problem.b_eq @ res.y),
+        )
+    return FeasibilityReport(res.status, None, None, np.nan, res.iterations, None, None)
 
 
 # ---------------------------------------------------------------------------

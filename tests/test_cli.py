@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import psilab
 from psilab import cli
 
 
@@ -35,12 +39,39 @@ class TestPbrCheck:
         assert payload["has_certificate"]
         assert payload["n_zero_constraints"] == 4
         assert payload["max_zero_born_value"] < 1e-12
+        assert payload["certificate_margin"] == pytest.approx(5.0, abs=1e-9)
 
     def test_disjoint_scene_feasible(self, tmp_path):
         assert run(["pbr-check", "--scene", "disjoint", "--out", str(tmp_path)]) == 0
         payload = load(tmp_path / "pbr_check.json")
         assert payload["status"] == "FEASIBLE"
         assert payload["residual"] < 1e-9
+        assert payload["certificate_margin"] is None
+
+    @pytest.mark.parametrize("args", [
+        ["--shared", "-1"],
+        ["--cells-per-support", "0"],
+        ["--scene", "n3", "--theta", "0"],
+        ["--scene", "n3", "--theta", str(np.pi / 8)],  # no 3-copy basis
+    ])
+    def test_outside_domain_is_usage_error(self, tmp_path, capsys, args):
+        assert run(["pbr-check", *args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "pbr_check.json").exists()
+
+
+def test_module_entry_point_imports_cli_once(tmp_path):
+    src = os.path.dirname(os.path.dirname(psilab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "psilab.cli",
+         "pbr-table", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "pbr_table.json").exists()
 
 
 class TestEscapeDemo:

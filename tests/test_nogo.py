@@ -1,9 +1,13 @@
+from itertools import product
+
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from psilab import nogo, ontology as ont, qcore
 from psilab.ontology import PsiClass
-from psilab.simplex import LpStatus
+from psilab.simplex import LpStatus, phase1
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +127,172 @@ class TestLpFeasibility:
         rep = nogo.lp_feasibility(prob)
         assert rep.status is LpStatus.FEASIBLE
         assert np.max(np.abs(np.sum(rep.witness, axis=0) - 1.0)) < 1e-9
+
+
+def dense_reference(prob):
+    """The equality matrix built by the original per-tuple Python loops."""
+    mc = len(prob.cells)
+    n_tuples = mc**prob.arity
+    tuples = list(product(range(mc), repeat=prob.arity))
+    rows = []
+    for k in range(n_tuples):
+        row = np.zeros(prob.n_outcomes * n_tuples)
+        row[k::n_tuples] = 1.0
+        rows.append(row)
+    rho_w = [d.values[prob.cells] * prob.space.weights[prob.cells]
+             for d in prob.densities]
+    for i, combo in sorted(prob.born):
+        row = np.zeros(prob.n_outcomes * n_tuples)
+        for k, tup in enumerate(tuples):
+            coeff = 1.0
+            for j, lam in zip(combo, tup):
+                coeff *= rho_w[j][lam]
+            row[i * n_tuples + k] = coeff
+        rows.append(row)
+    return np.array(rows)
+
+
+def scene(n, theta=np.pi / 4, **kw):
+    if n == 2:
+        return nogo.pbr_scene_problem(**kw)
+    basis = qcore.pbr_basis_n(theta, n)
+    return nogo.pbr_scene_problem(
+        n=n, basis=basis, states=list(qcore.make_qubit_pair(theta)), **kw
+    )
+
+
+def assert_checked_evidence(prob, rep, tol=1e-9):
+    """The verdict's witness or Farkas vector, re-checked in numpy."""
+    if rep.status is LpStatus.FEASIBLE:
+        x = rep.witness.reshape(-1)
+        assert np.min(x) >= 0.0
+        assert np.max(np.abs(prob.a_eq @ x - prob.b_eq)) <= tol
+    else:
+        assert rep.status is LpStatus.INFEASIBLE
+        y = rep.farkas
+        assert np.max(prob.a_eq.T @ y) <= tol
+        assert rep.certificate_margin == pytest.approx(prob.b_eq @ y, abs=0)
+        assert prob.b_eq @ y > tol
+
+
+class TestSparseAssembly:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_dense_loops(self, n):
+        prob = scene(n)
+        assert np.array_equal(prob.a_eq.toarray(), dense_reference(prob))
+
+    @pytest.mark.parametrize("n, kw, shape, nnz", [
+        (2, {}, (52, 144), 400),
+        (2, {"shared": 0}, (80, 256), 512),
+        (3, {}, (280, 1728), 5824),
+        (3, {"cells_per_support": 5}, (576, 4096), 12096),
+    ])
+    def test_shape_and_nonzeros(self, n, kw, shape, nnz):
+        prob = scene(n, **kw)
+        assert prob.a_eq.shape == shape
+        assert prob.a_eq.nnz == nnz == np.count_nonzero(prob.a_eq.toarray())
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("n, theta", [
+        (2, np.pi / 4), (3, np.pi / 4), (4, np.pi / 6),
+    ])
+    def test_phase1_optimum_is_two_to_the_n_plus_one(self, n, theta):
+        """Observed regression value for cells_per_support=4, shared=2."""
+        prob = scene(n, theta)
+        rep = nogo.lp_feasibility(prob)
+        assert rep.status is LpStatus.INFEASIBLE
+        y = rep.farkas
+        assert np.max(prob.a_eq.T @ y) <= 1e-9
+        assert prob.b_eq @ y == pytest.approx(2**n + 1, abs=1e-9)
+        assert rep.certificate_margin == pytest.approx(2**n + 1, abs=1e-9)
+
+    @pytest.mark.parametrize("kw", [{}, {"shared": 0}])
+    def test_scene_evidence_checks(self, kw):
+        prob = nogo.pbr_scene_problem(**kw)
+        rep = nogo.lp_feasibility(prob)
+        assert_checked_evidence(prob, rep)
+        assert (rep.certificate_margin is None) == (rep.status is LpStatus.FEASIBLE)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_infeasible_iff_supports_overlap(self, m, data):
+        pair = [qcore.ket(0), qcore.ket_plus()]
+        basis = qcore.pbr_basis_2qubit()
+        cell_set = st.sets(st.integers(0, m - 1), min_size=1)
+        positive = st.floats(1e-2, 1e2)
+        s1, s2 = data.draw(cell_set), data.draw(cell_set)
+        weights = np.array(data.draw(st.lists(positive, min_size=m, max_size=m)))
+        space = ont.LambdaSpace(weights=weights)
+        densities = []
+        for label, cells in (("psi1", s1), ("psi2", s2)):
+            v = np.zeros(m)
+            v[sorted(cells)] = data.draw(
+                st.lists(positive, min_size=len(cells), max_size=len(cells))
+            )
+            densities.append(
+                ont.PreparationDensity(space, label, v / np.sum(v * weights))
+            )
+        born = {
+            (i, combo): qcore.born(phi, qcore.tensor([pair[j] for j in combo]))
+            for combo in product(range(2), repeat=2)
+            for i, phi in enumerate(basis.vectors)
+        }
+        prob = nogo.build_feasibility_problem(space, densities, born, 4, 2)
+        rep = nogo.lp_feasibility(prob)
+        want = LpStatus.INFEASIBLE if s1 & s2 else LpStatus.FEASIBLE
+        assert rep.status is want
+        assert_checked_evidence(prob, rep)
+
+    @pytest.mark.parametrize("shared, corrupt", [
+        (2, lambda res: setattr(res.eqlin, "marginals", -res.eqlin.marginals)),
+        (2, lambda res: setattr(res.eqlin, "marginals", res.eqlin.marginals + 1e-6)),
+        (0, lambda res: setattr(res, "x", res.x + 1e-6)),
+        (0, lambda res: setattr(res, "x", res.x - 1e-6)),
+    ])
+    def test_unchecked_solver_output_is_indeterminate(
+        self, monkeypatch, shared, corrupt
+    ):
+        real = scipy.optimize.linprog
+
+        def bad_linprog(*args, **kwargs):
+            res = real(*args, **kwargs)
+            corrupt(res)
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", bad_linprog)
+        rep = nogo.lp_feasibility(nogo.pbr_scene_problem(4, shared))
+        assert rep.status is LpStatus.INDETERMINATE
+        assert rep.witness is None and rep.farkas is None
+
+
+class TestPhase1:
+    def test_negative_right_hand_side(self):
+        """Dense input and b < 0: -x0 - x1 = -1 has x >= 0 solutions; adding
+        x0 + x1 = 2 makes it infeasible, and the duals must certify that."""
+        ok = phase1(np.array([[-1.0, -1.0]]), np.array([-1.0]))
+        assert ok.status is LpStatus.FEASIBLE
+        assert ok.x.sum() == pytest.approx(1.0, abs=1e-12)
+        a = np.array([[-1.0, -1.0], [1.0, 1.0]])
+        b = np.array([-1.0, 2.0])
+        bad = phase1(a, b)
+        assert bad.status is LpStatus.INFEASIBLE
+        assert np.max(a.T @ bad.y) <= 1e-9 and b @ bad.y > 1e-9
+
+
+class TestSceneDomain:
+    @pytest.mark.parametrize("kw", [
+        {"shared": -1},
+        {"shared": 5},
+        {"cells_per_support": 0, "shared": 0},
+        {"n": 3, "basis": qcore.NotFound(residual=1e-3, attempts=8)},
+    ])
+    def test_outside_domain_raises(self, kw):
+        with pytest.raises(nogo.NogoError):
+            nogo.pbr_scene_problem(**kw)
 
 
 class TestAgreement:

@@ -304,6 +304,13 @@ def _parser_bohm_sg() -> argparse.ArgumentParser:
     return p
 
 
+def _check_ensemble_args(ns) -> None:
+    if ns.n < 1:
+        raise UsageError("n must be at least 1")
+    if ns.paths < 0:
+        raise UsageError(f"paths must be at least 0, got {ns.paths}")
+
+
 def _write_paths(ns, out, stem, title, record, x0s) -> None:
     """CSV and/or SVG of the first ``ns.paths`` trajectories, as requested."""
     if not (ns.csv or ns.svg) or ns.paths < 1:
@@ -322,8 +329,7 @@ def _run_bohm_sg(ns) -> int:
     out = _out_dir(ns)
     if not 0.0 <= ns.theta <= np.pi:
         raise UsageError(f"theta must lie in [0, pi], got {ns.theta}")
-    if ns.n < 1:
-        raise UsageError("n must be at least 1")
+    _check_ensemble_args(ns)
     try:
         cfg = bohm.SternGerlachConfig(
             cells=ns.cells, dt=ns.dt, t_final=ns.t_final, b1=ns.b1
@@ -359,14 +365,14 @@ def _parser_bohm_bs() -> argparse.ArgumentParser:
     p.add_argument("--prep", choices=bohm.BS_PREPS, default="plus")
     p.add_argument("--n", type=int, default=400)
     p.add_argument("--seed", type=int, default=20120417)
-    p.add_argument("--paths", type=int, default=24)
+    p.add_argument("--paths", type=int, default=24,
+                   help="trajectories kept for CSV/SVG artifacts")
     return p
 
 
 def _run_bohm_bs(ns) -> int:
     out = _out_dir(ns)
-    if ns.n < 1:
-        raise UsageError("n must be at least 1")
+    _check_ensemble_args(ns)
     res = bohm.beam_splitter_scene(ns.prep, ns.n, ns.seed)
     params = {
         "scenario": "bohm-bs", "prep": ns.prep, "n": ns.n, "seed": ns.seed,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 from psilab import bohm, nogo, ontology as ont
 from psilab.ontology import PsiClass
@@ -37,6 +38,8 @@ class TestConfig:
             bohm.SternGerlachConfig(dt=0.5)  # grid-spacing accuracy guard
         with pytest.raises(bohm.ConfigError):
             bohm.SternGerlachConfig(b0=1e4)  # potential-phase accuracy guard
+        with pytest.raises(bohm.ConfigError, match="zero steps"):
+            bohm.SternGerlachConfig(t_final=1e-4)  # rounds to 0 steps of 1e-3
 
     def test_grid_metadata(self, default_config):
         cfg = default_config
@@ -95,6 +98,67 @@ class TestEvolution:
         cfg = bohm.SternGerlachConfig(x_min=-20.0, x_max=20.0, cells=1024)
         rec = bohm.simulate(cfg, theta=np.pi / 2)
         assert np.max(rec.continuity) < 1e-4
+
+
+def banded_reference_step(config, potential):
+    """Crank-Nicolson step solved from scratch with the banded LU each step."""
+    kin = config.hbar**2 / (2.0 * config.mass * config.dx**2)
+    z = 1j * config.dt / (2.0 * config.hbar)
+    h_diag = 2.0 * kin + potential
+    lhs = np.zeros((3, config.cells), dtype=complex)
+    lhs[0, 1:] = -z * kin
+    lhs[1, :] = 1.0 + z * h_diag
+    lhs[2, :-1] = -z * kin
+
+    def step(psi):
+        rhs = (1.0 - z * h_diag) * psi
+        rhs[:-1] += z * kin * psi[1:]
+        rhs[1:] += z * kin * psi[:-1]
+        return solve_banded((1, 1), lhs, rhs)
+
+    return step
+
+
+class TestStepper:
+    @pytest.mark.parametrize("scene,field_on,component", [
+        ("sg", True, 0), ("sg", True, 1), ("sg", False, 0), ("bs", False, 0),
+    ])
+    def test_factored_step_matches_banded_solve(self, scene, field_on, component):
+        if scene == "sg":
+            cfg = bohm.SternGerlachConfig()
+            psi = bohm.prepare(cfg, np.pi / 2).up
+        else:
+            cfg = bohm.beam_splitter_config()
+            psi = bohm.prepare_beam_splitter(cfg, "plus").up
+        potential = bohm._component_potentials(cfg, field_on)[component]
+        step = bohm._stepper(cfg, potential)
+        reference = banded_reference_step(cfg, potential)
+        a = b = psi
+        for _ in range(200):
+            a, b = step(a), reference(b)
+            assert np.max(np.abs(a - b)) <= 1e-14
+
+    @pytest.mark.parametrize("prep", bohm.BS_PREPS)
+    def test_beam_splitter_down_stays_zero(self, prep):
+        cfg = bohm.beam_splitter_config()
+        rec = bohm.simulate(cfg, field0=bohm.prepare_beam_splitter(cfg, prep))
+        assert not rec.final.down.any()
+
+    def test_spin_up_down_stays_zero(self, default_config):
+        rec = bohm.simulate(default_config, 0.0)
+        assert not rec.final.down.any()
+        assert np.all(rec.sigma[-1][np.isfinite(rec.sigma[-1])] == 1.0)
+
+    def test_failed_factorization_raises(self, monkeypatch):
+        zgttrf = bohm.zgttrf
+
+        def singular(*args, **kwargs):
+            *factors, _ = zgttrf(*args, **kwargs)
+            return (*factors, 5)
+
+        monkeypatch.setattr(bohm, "zgttrf", singular)
+        with pytest.raises(bohm.BohmError, match="info = 5"):
+            bohm.simulate(bohm.SternGerlachConfig(t_final=0.01), 0.0)
 
 
 class TestDerivedFields:
@@ -345,7 +409,7 @@ class TestBeamSplitter:
 
 @pytest.fixture(scope="module")
 def model():
-    return bohm.bohm_ont_model()
+    return bohm.bohm_ont_model(thetas=(np.pi / 3, np.pi / 2, 2 * np.pi / 3))
 
 
 class TestOntExport:
@@ -362,6 +426,16 @@ class TestOntExport:
             born = np.cos(theta / 2.0) ** 2
             got = ont.predict(model, label, "spin-z", "+")
             assert abs(got - born) < 0.02
+
+    def test_born_within_one_cell(self, model):
+        """The + cells are those with F_0 above sin^2(theta/2), up to one cell."""
+        for label in model.prep_labels:
+            theta = float(label.split("=")[1])
+            cell_mass = np.max(
+                model.space.weights * model.preparations[label].values
+            )
+            got = ont.predict(model, label, "spin-z", "+")
+            assert abs(got - np.cos(theta / 2.0) ** 2) <= cell_mass
 
     def test_preparation_overlap_full(self, model):
         labels = model.prep_labels

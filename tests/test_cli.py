@@ -103,18 +103,43 @@ class TestBohmSg:
         assert svg.startswith("<svg") and "polyline" in svg
 
     def test_byte_identical_reruns(self, tmp_path):
-        d1, d2 = tmp_path / "a", tmp_path / "b"
-        assert run(["bohm-sg", *self.ARGS, "--out", str(d1)]) == 0
-        assert run(["bohm-sg", *self.ARGS, "--out", str(d2)]) == 0
-        assert (d1 / "bohm_sg.json").read_bytes() == (d2 / "bohm_sg.json").read_bytes()
+        cases = (
+            (["bohm-sg", *self.ARGS], ["bohm_sg.json"]),
+            (["bohm-bs", "--prep", "plus", "--n", "40", "--csv", "--svg"],
+             ["bohm_bs.json", "bohm_bs_trajectories.csv",
+              "bohm_bs_trajectories.svg"]),
+        )
+        for i, (args, names) in enumerate(cases):
+            d1, d2 = tmp_path / f"{i}a", tmp_path / f"{i}b"
+            assert run([*args, "--out", str(d1)]) == 0
+            assert run([*args, "--out", str(d2)]) == 0
+            for name in names:
+                assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_invalid_theta_is_usage_error(self, tmp_path):
         assert run(["bohm-sg", "--theta", "7", "--out", str(tmp_path)]) == 2
+
+    def test_zero_paths_writes_no_trajectories(self, tmp_path):
+        assert run(["bohm-sg", *self.ARGS, "--out", str(tmp_path),
+                    "--csv", "--svg", "--paths", "0"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bohm_sg.json"]
 
     def test_env_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PSILAB_OUT", str(tmp_path / "env"))
         assert run(["bohm-sg", *self.ARGS]) == 0
         assert (tmp_path / "env" / "bohm_sg.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["bohm-sg", "--t-final", "0.0001"],  # rounds to zero steps of dt = 1e-3
+    ["bohm-sg", "--paths", "-3", "--csv"],
+    ["bohm-bs", "--paths", "-3", "--csv"],
+])
+def test_bohm_outside_domain_is_usage_error(tmp_path, capsys, args):
+    assert run([*args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
 
 
 class TestBohmBs:

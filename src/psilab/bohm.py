@@ -8,13 +8,18 @@ Particle positions follow the velocity field v = J/rho, so each run is a
 deterministic map from the initial position x0 to a measurement outcome.
 
 Numerics: Crank-Nicolson stepping per component on a uniform grid with
-hard-wall boundaries (norm-preserving by construction), inverse-CDF initial
-sampling from |psi(0)|^2 with a seeded PCG64 generator, and trajectories
-from the 1-D quantile map x_t = F_t^-1(F_0(x0)).  Guidance trajectories in
-one dimension never cross and keep the ensemble |psi|^2-distributed, so the
-point that starts at quantile u of rho_0 sits at quantile u of rho_t.  F_t
-is the cumulative density at cell edges; the stepper conserves the midpoint
-edge current exactly, so F_t is the integral of the flux it carries.
+hard-wall boundaries (norm-preserving by construction); the tridiagonal
+matrix of each potential is LU-factored once (LAPACK zgttrf) and every step
+is one solve on those factors (zgttrs), both components share one
+factorization when they see the same potential, and a component that is
+identically zero at the start is not stepped.  Initial positions are
+inverse-CDF samples from |psi(0)|^2 drawn with a seeded PCG64 generator, and
+trajectories come from the 1-D quantile map x_t = F_t^-1(F_0(x0)).  Guidance
+trajectories in one dimension never cross and keep the ensemble
+|psi|^2-distributed, so the point that starts at quantile u of rho_0 sits at
+quantile u of rho_t.  F_t is the cumulative density at cell edges; the
+stepper conserves the midpoint edge current exactly, so F_t is the integral
+of the flux it carries.
 """
 
 from __future__ import annotations
@@ -181,12 +186,11 @@ def _stepper(config: SternGerlachConfig, potential: np.ndarray):
     step applies the RHS 1 - i dt H / (2 hbar) and solves on the stored
     factors with ``zgttrs``.
     """
-    n = config.cells
     kin = config.hbar**2 / (2.0 * config.mass * config.dx**2)
     h_off = -kin
     h_diag = 2.0 * kin + potential
     z = 1j * config.dt / (2.0 * config.hbar)
-    lhs_off = np.full(n - 1, z * h_off)
+    lhs_off = np.full(config.cells - 1, z * h_off)
     dl, d, du, du2, ipiv, info = zgttrf(lhs_off, 1.0 + z * h_diag, lhs_off)
     if info != 0:
         raise BohmError(f"Crank-Nicolson matrix not factored: zgttrf info = {info}")

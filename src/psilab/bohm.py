@@ -20,6 +20,14 @@ trajectories in one dimension never cross and keep the ensemble
 quantile u of rho_t.  F_t is the cumulative density at cell edges; the
 stepper conserves the midpoint edge current exactly, so F_t is the integral
 of the flux it carries.
+
+Both scenes, the spin analyzer (``run_ensemble``) and the beam splitter
+(``beam_splitter_scene``), run the same pipeline (simulate, sample, map to
+the final frame, tally) and return one ``EnsembleRun``; they differ only in
+the rule that turns a final point into an OUTCOME_* value.
+``integrate_ensemble`` reads the first and the last frame only;
+``trajectory_paths`` gives positions and local spin at every frame as
+(frames, points) arrays for the CSV and SVG writers.
 """
 
 from __future__ import annotations
@@ -387,23 +395,11 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
 
 
 @dataclass
-class Trajectory:
-    """Path of one configuration point, with its local spin record."""
-
-    x0: float
-    times: np.ndarray
-    xs: np.ndarray
-    sigmas: np.ndarray
-    outcome: int | None
-
-
-@dataclass
 class EnsembleTrajectories:
-    """Vectorized trajectory bundle over one recorded evolution."""
+    """Final positions, local spin and outcomes of points over one evolution."""
 
     times: np.ndarray
     x0: np.ndarray
-    paths: np.ndarray | None
     final_x: np.ndarray
     final_sigma: np.ndarray
     outcomes: np.ndarray
@@ -416,12 +412,10 @@ def _edge_cdf(x, dx, rho):
     return edges, cdf / cdf[-1]
 
 
-def integrate_ensemble(record: EvolutionRecord, x0s,
-                       keep_paths: bool = False) -> EnsembleTrajectories:
-    """Carry many initial points along the flow by the quantile map.
+def _quantile_map(record: EvolutionRecord, x0s, frames):
+    """Initial points and their positions x_t = F_t^-1(F_0(x0)) at the frames.
 
-    The point starting at x0 sits at x_t = F_t^-1(F_0(x0)) at every recorded
-    time; only the final frame is read unless ``keep_paths`` is set.
+    Returns the points as a 1-D array and one row of positions per frame.
     """
     x0 = np.array(x0s, dtype=float)
     if x0.ndim != 1:
@@ -429,48 +423,41 @@ def integrate_ensemble(record: EvolutionRecord, x0s,
     grid, dx = record.config.x, record.config.dx
     edges, cdf = _edge_cdf(grid, dx, record.rho[0])
     u = np.interp(x0, edges, cdf)
-
-    def position(k):
+    rows = []
+    for k in frames:
         edges, cdf = _edge_cdf(grid, dx, record.rho[k])
-        return np.interp(u, cdf, edges)
+        rows.append(np.interp(u, cdf, edges))
+    return x0, np.array(rows)
 
-    times = record.times
-    paths = None
-    if keep_paths:
-        paths = np.array([position(k) for k in range(len(times))])
-    final_x = position(-1) if paths is None else paths[-1]
-    final_sigma = np.interp(final_x, grid, record.sigma[-1])
+
+def integrate_ensemble(record: EvolutionRecord, x0s) -> EnsembleTrajectories:
+    """Carry many initial points to the final time by the quantile map.
+
+    Only the first and the last frame are read; an outcome is the sign of the
+    final local spin where it is resolved.
+    """
+    x0, (final_x,) = _quantile_map(record, x0s, [-1])
+    final_sigma = np.interp(final_x, record.config.x, record.sigma[-1])
     outcomes = np.zeros(x0.shape, dtype=int)
     resolved = np.isfinite(final_sigma) & (
         np.abs(final_sigma) > 1.0 - SIGMA_RESOLVED
     )
     outcomes[resolved] = np.sign(final_sigma[resolved]).astype(int)
     return EnsembleTrajectories(
-        times=times, x0=x0, paths=paths,
+        times=record.times, x0=x0,
         final_x=final_x, final_sigma=final_sigma, outcomes=outcomes,
     )
 
 
-def integrate_trajectories(record: EvolutionRecord, x0s) -> list[Trajectory]:
-    """Full paths with their local spin record, one per initial point."""
-    ens = integrate_ensemble(record, x0s, keep_paths=True)
-    grid = record.config.x
-    sigmas = np.array([
-        np.interp(xs, grid, sig) for xs, sig in zip(ens.paths, record.sigma)
-    ])
-    return [
-        Trajectory(
-            x0=float(ens.x0[i]), times=record.times, xs=ens.paths[:, i],
-            sigmas=sigmas[:, i],
-            outcome=int(out) if out != OUTCOME_UNRESOLVED else None,
-        )
-        for i, out in enumerate(ens.outcomes)
-    ]
+def trajectory_paths(record: EvolutionRecord, x0s):
+    """Positions and local spin of each point at every recorded frame.
 
-
-def integrate_trajectory(x0: float, record: EvolutionRecord) -> Trajectory:
-    """Single-point convenience wrapper keeping the full path."""
-    return integrate_trajectories(record, [x0])[0]
+    Returns ``(xs, sigmas)``, both of shape (frames, points).
+    """
+    _, xs = _quantile_map(record, x0s, range(len(record.times)))
+    grid = record.config.x  # a property that builds the array on each access
+    sigmas = np.array([np.interp(x, grid, sig) for x, sig in zip(xs, record.sigma)])
+    return xs, sigmas
 
 
 def sample_initial(field0: SpinorField, n: int, seed: int) -> np.ndarray:
@@ -528,13 +515,33 @@ def _stats_from_outcomes(outcomes: np.ndarray, seed: int) -> EnsembleStats:
     )
 
 
-def run_ensemble(config: SternGerlachConfig, theta: float, n: int,
-                 seed: int) -> EnsembleStats:
-    """Prepare, evolve, and integrate n sampled trajectories; tally outcomes."""
-    record = simulate(config, theta)
-    x0s = sample_initial(record.initial, n, seed)
+@dataclass(frozen=True)
+class EnsembleRun:
+    """One scene run: the recorded evolution, its sampled points and tally."""
+
+    record: EvolutionRecord
+    x0: np.ndarray
+    final_x: np.ndarray
+    stats: EnsembleStats
+
+
+def _run(config: SternGerlachConfig, field0: SpinorField, n: int, seed: int,
+         outcomes_of) -> EnsembleRun:
+    """Evolve, sample n initial points, carry them to the end and tally.
+
+    ``outcomes_of`` maps the integrated ensemble to one OUTCOME_* per point.
+    """
+    record = simulate(config, field0=field0)
+    x0s = sample_initial(field0, n, seed)
     ens = integrate_ensemble(record, x0s)
-    return _stats_from_outcomes(ens.outcomes, seed)
+    return EnsembleRun(record=record, x0=ens.x0, final_x=ens.final_x,
+                       stats=_stats_from_outcomes(outcomes_of(ens), seed))
+
+
+def run_ensemble(config: SternGerlachConfig, theta: float, n: int,
+                 seed: int) -> EnsembleRun:
+    """Spin analyzer: the outcome is the sign of the final local spin."""
+    return _run(config, prepare(config, theta), n, seed, lambda ens: ens.outcomes)
 
 
 def ks_distance(samples: np.ndarray, field: SpinorField) -> float:
@@ -564,31 +571,29 @@ BARRIER_WIDTH = 0.08
 BS_PREPS = ("psi1", "psi2", "plus", "minus")
 
 
-def beam_splitter_config(barrier_height: float = BARRIER_HEIGHT,
-                         t_final: float = 4.0) -> SternGerlachConfig:
+def beam_splitter_config() -> SternGerlachConfig:
     """Scene geometry: two counter-propagating packets meeting a thin barrier."""
     cells = 1024
     x = -20.0 + (np.arange(cells) + 0.5) * (40.0 / cells)
-    barrier = barrier_height * np.exp(-(x**2) / (2.0 * BARRIER_WIDTH**2))
+    barrier = BARRIER_HEIGHT * np.exp(-(x**2) / (2.0 * BARRIER_WIDTH**2))
     return SternGerlachConfig(
-        x_min=-20.0, x_max=20.0, cells=cells, dt=1e-3, t_final=t_final,
+        x_min=-20.0, x_max=20.0, cells=cells, dt=1e-3, t_final=4.0,
         mu=0.0, t_on=0.0, t_off=1e-6,
         static_potential=barrier,
     )
 
 
-def prepare_beam_splitter(config: SternGerlachConfig, prep: str,
-                          separation: float = 8.5, sigma: float = 1.5,
-                          k0: float = 5.0) -> SpinorField:
+def prepare_beam_splitter(config: SternGerlachConfig, prep: str) -> SpinorField:
     """Initial field for one of the four scene preparations.
 
-    psi1 travels rightward from -separation, psi2 leftward from +separation;
-    plus and minus are the phased superpositions (psi1 +/- i psi2)/sqrt(2).
+    psi1 travels rightward from x = -8.5 with wave number 5, psi2 leftward
+    from x = +8.5 (both of width 1.5); plus and minus are the phased
+    superpositions (psi1 +/- i psi2)/sqrt(2).
     """
     if prep not in BS_PREPS:
         raise DomainError(f"unknown preparation {prep!r}; expected one of {BS_PREPS}")
-    p1 = gaussian_packet(config.x, config.dx, -separation, sigma, k0)
-    p2 = gaussian_packet(config.x, config.dx, separation, sigma, -k0)
+    p1 = gaussian_packet(config.x, config.dx, -8.5, 1.5, 5.0)
+    p2 = gaussian_packet(config.x, config.dx, 8.5, 1.5, -5.0)
     if prep == "psi1":
         amp = p1
     elif prep == "psi2":
@@ -603,48 +608,20 @@ def prepare_beam_splitter(config: SternGerlachConfig, prep: str,
     )
 
 
-@dataclass(frozen=True)
-class BeamSplitterResult:
-    """Gate tallies and trajectory endpoints for one scene run."""
-
-    prep: str
-    n: int
-    gate3: int
-    gate4: int
-    n_unresolved: int
-    seed: int
-    valid: bool
-    x0: np.ndarray
-    final_x: np.ndarray
-    record: EvolutionRecord
-
-    def p_gate3(self) -> float:
-        resolved = max(self.gate3 + self.gate4, 1)
-        return self.gate3 / resolved
-
-
-def beam_splitter_scene(prep: str, n: int, seed: int,
-                        config: SternGerlachConfig | None = None) -> BeamSplitterResult:
+def beam_splitter_scene(prep: str, n: int, seed: int) -> EnsembleRun:
     """Run one preparation through the crossing region and classify exits.
 
-    Gate 3 is the +x side of the barrier, gate 4 the -x side, read off from
-    the sign of the final trajectory position.
+    Gate 3 (+) is the +x side of the barrier and gate 4 (-) the -x side, read
+    off from the sign of the final position outside +/- 2 BARRIER_WIDTH.
     """
-    if config is None:
-        config = beam_splitter_config()
-    field0 = prepare_beam_splitter(config, prep)
-    record = simulate(config, field0=field0)
-    x0s = sample_initial(field0, n, seed)
-    ens = integrate_ensemble(record, x0s)
-    resolved = np.abs(ens.final_x) > 2.0 * BARRIER_WIDTH
-    gate3 = int(np.sum(resolved & (ens.final_x > 0)))
-    gate4 = int(np.sum(resolved & (ens.final_x < 0)))
-    n_unres = n - gate3 - gate4
-    return BeamSplitterResult(
-        prep=prep, n=n, gate3=gate3, gate4=gate4, n_unresolved=n_unres,
-        seed=seed, valid=n_unres <= 0.01 * n, x0=ens.x0, final_x=ens.final_x,
-        record=record,
-    )
+    config = beam_splitter_config()
+
+    def gates(ens):
+        outcomes = np.where(ens.final_x > 0, OUTCOME_PLUS, OUTCOME_MINUS)
+        outcomes[np.abs(ens.final_x) <= 2.0 * BARRIER_WIDTH] = OUTCOME_UNRESOLVED
+        return outcomes
+
+    return _run(config, prepare_beam_splitter(config, prep), n, seed, gates)
 
 
 def transmitted_mass(record: EvolutionRecord) -> float:
@@ -663,18 +640,16 @@ def transmitted_mass(record: EvolutionRecord) -> float:
 EXPORT_SUPPORT_EPS = 1e-9
 
 
-def bohm_ont_model(thetas=(np.pi / 3, np.pi / 2),
-                   config: SternGerlachConfig | None = None,
-                   context: str = "spin-z") -> ontology.OntModel:
+def bohm_ont_model(thetas=(np.pi / 3, np.pi / 2)) -> ontology.OntModel:
     """View the simulator as a finite hidden-variable model.
 
     The hidden variable is the initial-position cell; each preparation angle
     shares the same spatial density but gets its own deterministic response
     column, read off from the trajectory launched at the cell center and
-    classified by the sign of its final position.
+    classified by the sign of its final position, on the default analyzer;
+    the tables sit under the context "spin-z".
     """
-    if config is None:
-        config = SternGerlachConfig()
+    config = SternGerlachConfig()
     packet = prepare(config, 0.0)
     rho0 = packet.rho()
     cells = np.flatnonzero(rho0 >= EXPORT_SUPPORT_EPS * np.max(rho0))
@@ -697,17 +672,17 @@ def bohm_ont_model(thetas=(np.pi / 3, np.pi / 2),
         table = np.zeros((2, len(cells)))
         table[0, plus] = 1.0
         table[1, ~plus] = 1.0
-        tables[(label, context)] = table
+        tables[(label, "spin-z")] = table
 
     response = ontology.ContextualResponse(outcomes=("+", "-"), tables=tables)
     return ontology.OntModel(space, preparations, response, product_arity=1)
 
 
-def trajectories_to_csv(trajs) -> str:
-    """CSV dump of trajectory bundles: one row per (trajectory, time)."""
+def trajectories_to_csv(times, xs, sigmas) -> str:
+    """CSV of (frames, points) position and spin arrays, one row per (point, t)."""
     lines = ["traj_id,t,x,sigma"]
-    for tid, tr in enumerate(trajs):
-        for t, x, s in zip(tr.times, tr.xs, tr.sigmas):
+    for tid in range(xs.shape[1]):
+        for t, x, s in zip(times, xs[:, tid], sigmas[:, tid]):
             lines.append("%d,%.15g,%.15g,%.15g" % (tid, t, x, s))
     return "\n".join(lines) + "\n"
 

@@ -131,8 +131,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default=None,
                         help="output directory (default: $PSILAB_OUT or .)")
-    parser.add_argument("--csv", action="store_true", help="emit CSV artifacts")
-    parser.add_argument("--svg", action="store_true", help="emit SVG artifacts")
+
+
+def _add_ensemble(parser: argparse.ArgumentParser, n: int) -> None:
+    """Options shared by the two trajectory-ensemble subcommands."""
+    parser.add_argument("--n", type=int, default=n)
+    parser.add_argument("--seed", type=int, default=20120417)
+    parser.add_argument("--paths", type=int, default=24,
+                        help="trajectories kept for CSV/SVG artifacts")
+    parser.add_argument("--csv", action="store_true",
+                        help="emit the trajectory CSV")
+    parser.add_argument("--svg", action="store_true",
+                        help="emit the trajectory SVG")
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +302,12 @@ def _parser_bohm_sg() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="psilab bohm-sg",
                                 description="Spin-analyzer trajectory ensemble")
     _add_common(p)
+    _add_ensemble(p, n=1000)
     p.add_argument("--theta", type=float, default=np.pi / 2)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=20120417)
     p.add_argument("--cells", type=int, default=1792)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--t-final", type=float, default=3.0)
     p.add_argument("--b1", type=float, default=-4.0)
-    p.add_argument("--paths", type=int, default=24,
-                   help="trajectories kept for CSV/SVG artifacts")
     return p
 
 
@@ -311,15 +318,17 @@ def _check_ensemble_args(ns) -> None:
         raise UsageError(f"paths must be at least 0, got {ns.paths}")
 
 
-def _write_paths(ns, out, stem, title, record, x0s) -> None:
+def _write_paths(ns, out, stem, title, run: bohm.EnsembleRun) -> None:
     """CSV and/or SVG of the first ``ns.paths`` trajectories, as requested."""
     if not (ns.csv or ns.svg) or ns.paths < 1:
         return
-    trajs = bohm.integrate_trajectories(record, x0s[: ns.paths])
+    times = run.record.times
+    xs, sigmas = bohm.trajectory_paths(run.record, run.x0[: ns.paths])
     if ns.csv:
-        _write(out, f"{stem}_trajectories.csv", bohm.trajectories_to_csv(trajs))
+        _write(out, f"{stem}_trajectories.csv",
+               bohm.trajectories_to_csv(times, xs, sigmas))
     if ns.svg:
-        series = [(tr.times, tr.xs) for tr in trajs]
+        series = [(times, x) for x in xs.T]
         _write(out, f"{stem}_trajectories.svg", svgplot.render_lines(
             series, title=title, x_label="t", y_label="x"
         ))
@@ -336,10 +345,7 @@ def _run_bohm_sg(ns) -> int:
         )
     except bohm.ConfigError as exc:
         raise UsageError(str(exc)) from exc
-    record = bohm.simulate(cfg, theta=ns.theta)
-    x0s = bohm.sample_initial(record.initial, ns.n, ns.seed)
-    ens = bohm.integrate_ensemble(record, x0s)
-    stats = bohm._stats_from_outcomes(ens.outcomes, ns.seed)
+    run = bohm.run_ensemble(cfg, ns.theta, ns.n, ns.seed)
     params = {
         "scenario": "bohm-sg", "theta": ns.theta, "n": ns.n, "seed": ns.seed,
         "cells": ns.cells, "dt": ns.dt, "t_final": ns.t_final, "b1": ns.b1,
@@ -349,49 +355,47 @@ def _run_bohm_sg(ns) -> int:
         "config_hash": _config_hash(params),
         "theta": ns.theta,
         "born_p_plus": float(np.cos(ns.theta / 2.0) ** 2),
-        "stats": stats.to_dict(),
-        "norm_drift": float(np.max(np.abs(record.norms - 1.0))),
-        "max_continuity_residual": float(np.max(record.continuity)),
+        "stats": run.stats.to_dict(),
+        "norm_drift": float(np.max(np.abs(run.record.norms - 1.0))),
+        "max_continuity_residual": float(np.max(run.record.continuity)),
     }
     _emit_json(out, "bohm_sg.json", payload)
-    _write_paths(ns, out, "bohm_sg", "analyzer trajectories", record, x0s)
-    return 0 if stats.valid else 1
+    _write_paths(ns, out, "bohm_sg", "analyzer trajectories", run)
+    return 0 if run.stats.valid else 1
 
 
 def _parser_bohm_bs() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="psilab bohm-bs",
                                 description="Crossed-packet beam-splitter scene")
     _add_common(p)
+    _add_ensemble(p, n=400)
     p.add_argument("--prep", choices=bohm.BS_PREPS, default="plus")
-    p.add_argument("--n", type=int, default=400)
-    p.add_argument("--seed", type=int, default=20120417)
-    p.add_argument("--paths", type=int, default=24,
-                   help="trajectories kept for CSV/SVG artifacts")
     return p
 
 
 def _run_bohm_bs(ns) -> int:
     out = _out_dir(ns)
     _check_ensemble_args(ns)
-    res = bohm.beam_splitter_scene(ns.prep, ns.n, ns.seed)
+    run = bohm.beam_splitter_scene(ns.prep, ns.n, ns.seed)
+    stats = run.stats
     params = {
         "scenario": "bohm-bs", "prep": ns.prep, "n": ns.n, "seed": ns.seed,
     }
+    # Gate 3 is the + (x > 0) exit, gate 4 the - exit.
     payload = {
         "scenario": "bohm-bs",
         "config_hash": _config_hash(params),
         "prep": ns.prep,
-        "counts": {"gate3": res.gate3, "gate4": res.gate4,
-                   "unresolved": res.n_unresolved},
-        "p_gate3": res.p_gate3(),
-        "mass_plus_side": bohm.transmitted_mass(res.record),
+        "counts": {"gate3": stats.n_plus, "gate4": stats.n_minus,
+                   "unresolved": stats.n_unresolved},
+        "p_gate3": stats.p_plus,
+        "mass_plus_side": bohm.transmitted_mass(run.record),
         "seed": ns.seed,
-        "valid": res.valid,
+        "valid": stats.valid,
     }
     _emit_json(out, "bohm_bs.json", payload)
-    _write_paths(ns, out, "bohm_bs", "beam-splitter trajectories",
-                 res.record, res.x0)
-    return 0 if res.valid else 1
+    _write_paths(ns, out, "bohm_bs", "beam-splitter trajectories", run)
+    return 0 if stats.valid else 1
 
 
 def _parser_selftest() -> argparse.ArgumentParser:
@@ -436,7 +440,7 @@ def _selftest_checks():
 
     def check_analyzer():
         cfg = bohm.SternGerlachConfig()
-        stats = bohm.run_ensemble(cfg, 0.0, 64, seed=5)
+        stats = bohm.run_ensemble(cfg, 0.0, 64, seed=5).stats
         record = bohm.simulate(cfg, theta=np.pi / 2)
         return (stats.p_plus == 1.0
                 and float(np.max(np.abs(record.norms - 1.0))) < 1e-8

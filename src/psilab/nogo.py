@@ -22,8 +22,8 @@ from . import qcore
 from .simplex import LpStatus, phase1
 
 ZERO_TOL = 1e-10
-LP_TOL = 1e-9
-LP_MAX_ITER = 10**6
+# A response entry within this of 0 or 1 counts as deterministic.
+DETERMINISM_TOL = 1e-9
 
 
 class NogoError(ValueError):
@@ -65,33 +65,40 @@ class NoContradiction:
     reason: str = "supports admit no forcing tuple"
 
 
+def _born_values(states, basis: qcore.MeasurementBasis, arity: int) -> dict:
+    """Born value of each (outcome index, preparation tuple).
+
+    Tuples run in itertools.product order over the indices of ``states``.
+    """
+    born = {}
+    for combo in product(range(len(states)), repeat=arity):
+        joint = qcore.tensor([states[j] for j in combo])
+        for i, phi in enumerate(basis.vectors):
+            born[(i, combo)] = qcore.born(phi, joint)
+    return born
+
+
 def zero_constraints(
     states: list[qcore.QState],
     basis: qcore.MeasurementBasis,
-    tol: float = ZERO_TOL,
 ) -> list[ZeroConstraint]:
-    """All (outcome, preparation tuple) pairs with Born probability below tol."""
+    """All (outcome, preparation tuple) pairs with Born value below ZERO_TOL."""
     state_dims = states[0].dims
     if basis.dims % state_dims != 0:
         raise qcore.DimensionMismatch(
             f"basis dims {basis.dims} not a multiple of state dims {state_dims}"
         )
-    arity = basis.dims // state_dims
-    out = []
-    for combo in product(range(len(states)), repeat=arity):
-        joint = qcore.tensor([states[j] for j in combo])
-        for i, phi in enumerate(basis.vectors):
-            p = qcore.born(phi, joint)
-            if p < tol:
-                out.append(ZeroConstraint(i, combo, p))
-    out.sort(key=lambda z: (z.outcome_index, z.preps))
-    return out
+    born = _born_values(states, basis, basis.dims // state_dims)
+    return [
+        ZeroConstraint(i, combo, p)
+        for (i, combo), p in sorted(born.items())
+        if p < ZERO_TOL
+    ]
 
 
 def analytic_contradiction(
     model: ont.OntModel,
     constraints: list[ZeroConstraint],
-    eps: float | None = None,
 ) -> ContradictionCertificate | NoContradiction:
     """Search for a lambda tuple where the zero constraints force every outcome.
 
@@ -110,7 +117,7 @@ def analytic_contradiction(
     supports = []
     for label in labels:
         mask = np.zeros(model.space.size, dtype=bool)
-        mask[ont.support(model.preparations[label], eps)] = True
+        mask[ont.support(model.preparations[label])] = True
         supports.append(mask)
 
     arity = model.product_arity
@@ -244,11 +251,7 @@ def pbr_scene_problem(
     rho2 = ont.uniform_density(
         space, "psi2", np.arange(cells_per_support - shared, m)
     )
-    born = {}
-    for combo in product(range(2), repeat=n):
-        joint = qcore.tensor([states[j] for j in combo])
-        for i, phi in enumerate(basis.vectors):
-            born[(i, combo)] = qcore.born(phi, joint)
+    born = _born_values(states, basis, n)
     return build_feasibility_problem(space, [rho1, rho2], born, len(basis), n)
 
 
@@ -259,7 +262,7 @@ class FeasibilityReport:
     certificate: ContradictionCertificate | NoContradiction | None
     residual: float
     iterations: int
-    farkas: np.ndarray | None  # checked dual y: A^T y <= tol, b^T y > tol
+    farkas: np.ndarray | None  # checked dual y: A^T y <= LP_TOL, b^T y > LP_TOL
     certificate_margin: float | None  # b^T y of the Farkas vector
 
 
@@ -287,17 +290,17 @@ def _certificate_from_problem(
     return analytic_contradiction(model, constraints)
 
 
-def lp_feasibility(problem: FeasibilityProblem, tol: float = LP_TOL) -> FeasibilityReport:
+def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
     """Phase-1 feasibility decision with checked evidence.
 
     Feasible: returns the response table found by the solver, whose residual
-    against the equalities was checked to be within tol.  Infeasible: returns
-    the Farkas vector y checked in numpy (max A^T y <= tol, margin b^T y >
-    tol); the residual is the phase-1 optimum, and the analytic forcing tuple
-    is attached as a cross-check when one exists.  Indeterminate when the
-    solver stops early or neither check passes.
+    against the equalities was checked to be within simplex.LP_TOL.
+    Infeasible: returns the Farkas vector y checked in numpy (max A^T y <=
+    LP_TOL, margin b^T y > LP_TOL); the residual is the phase-1 optimum, and
+    the analytic forcing tuple is attached as a cross-check when one exists.
+    Indeterminate when the solver stops early or neither check passes.
     """
-    res = phase1(problem.a_eq, problem.b_eq, tol=tol, max_iter=LP_MAX_ITER)
+    res = phase1(problem.a_eq, problem.b_eq)
     if res.status is LpStatus.FEASIBLE:
         xi = res.x.reshape(problem.xi_shape())
         residual = float(np.max(np.abs(problem.a_eq @ res.x - problem.b_eq)))
@@ -334,13 +337,9 @@ def construct_disjoint_model(
         "psi1": ont.delta_density(space, "psi1", 0),
         "psi2": ont.delta_density(space, "psi2", 1),
     }
-    states = (psi1, psi2)
     table = np.empty((len(basis), 2, 2))
-    for j in range(2):
-        for k in range(2):
-            joint = qcore.tensor([states[j], states[k]])
-            for i, phi in enumerate(basis.vectors):
-                table[i, j, k] = qcore.born(phi, joint)
+    for (i, (j, k)), p in _born_values((psi1, psi2), basis, 2).items():
+        table[i, j, k] = p
     resp = ont.UniversalResponse(
         tuple(f"phi_{i + 1}" for i in range(len(basis))), table
     )
@@ -407,27 +406,24 @@ def scene_born(scene: str) -> dict:
     raise NogoError(f"unknown scene {scene!r}")
 
 
-def determinism_check(model: ont.OntModel, tol: float = 1e-9):
-    """True iff every response entry is within tol of 0 or 1.
+def determinism_check(model: ont.OntModel):
+    """True iff every response entry is within DETERMINISM_TOL of 0 or 1.
 
     Returns (flag, offenders); each offender is (key, value) where key locates
-    the entry in the response table.
+    the entry: (outcome, lambda indices...) for a universal response, and
+    (prep, context, outcome, lambda index) for a contextual one.
     """
-    offenders = []
     resp = model.response
     if isinstance(resp, ont.UniversalResponse):
-        it = np.nditer(resp.table, flags=["multi_index"])
+        tables = [((), resp.table)]
+    else:
+        tables = sorted(resp.tables.items())
+    offenders = []
+    for key, table in tables:
+        it = np.nditer(table, flags=["multi_index"])
         for v in it:
             val = float(v)
-            if min(val, 1.0 - val) > tol:
+            if min(val, 1.0 - val) > DETERMINISM_TOL:
                 outcome = resp.outcomes[it.multi_index[0]]
-                offenders.append(((outcome,) + it.multi_index[1:], val))
-    else:
-        for key, table in sorted(resp.tables.items()):
-            it = np.nditer(table, flags=["multi_index"])
-            for v in it:
-                val = float(v)
-                if min(val, 1.0 - val) > tol:
-                    outcome = resp.outcomes[it.multi_index[0]]
-                    offenders.append((key + (outcome, it.multi_index[1]), val))
+                offenders.append((key + (outcome,) + it.multi_index[1:], val))
     return len(offenders) == 0, offenders

@@ -246,30 +246,28 @@ def support(density: PreparationDensity, eps: float | None = None) -> np.ndarray
     return np.flatnonzero(density.values > eps)
 
 
-def overlap(
-    d1: PreparationDensity, d2: PreparationDensity, eps: float | None = None
-) -> float:
+def overlap(d1: PreparationDensity, d2: PreparationDensity) -> float:
     """Weight of the common support of two densities on the same space."""
     if d1.space is not d2.space and not np.array_equal(
         d1.space.weights, d2.space.weights
     ):
         raise SpaceMismatch("densities live on different lambda spaces")
     s1 = np.zeros(d1.space.size, dtype=bool)
-    s1[support(d1, eps)] = True
+    s1[support(d1)] = True
     s2 = np.zeros(d2.space.size, dtype=bool)
-    s2[support(d2, eps)] = True
+    s2[support(d2)] = True
     both = s1 & s2
     return float(np.sum(d1.space.weights[both]))
 
 
-def classify(model: OntModel, eps: float | None = None) -> PsiClass:
+def classify(model: OntModel) -> PsiClass:
     """Psi-ontic iff every pair of distinct preparations has disjoint support."""
     labels = model.prep_labels
     if len(labels) < 2:
         raise OntologyError("classification needs at least two preparations")
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
-            if overlap(model.preparations[a], model.preparations[b], eps) > 0.0:
+            if overlap(model.preparations[a], model.preparations[b]) > 0.0:
                 return PsiClass.PSI_EPISTEMIC
     return PsiClass.PSI_ONTIC
 
@@ -297,9 +295,10 @@ def joint_distribution(model: OntModel, prep_label: str, context: str) -> np.nda
 
 BS_CONTEXT = "gates"
 BS_OUTCOMES = ("3", "4")
+BS_CELLS_PER_GATE = 4
 
 
-def build_beam_splitter_model(cells_per_gate: int = 4) -> OntModel:
+def build_beam_splitter_model() -> OntModel:
     """Deterministic contextual model of a 50-50 beam splitter.
 
     Lambda is the packet coordinate: two disjoint regions, one per input
@@ -311,8 +310,7 @@ def build_beam_splitter_model(cells_per_gate: int = 4) -> OntModel:
     of which half goes where is conventional; any fixed deterministic
     partition reproduces the 50-50 statistics.
     """
-    if cells_per_gate < 2:
-        raise OntologyError("need at least 2 cells per gate region")
+    cells_per_gate = BS_CELLS_PER_GATE
     m = 2 * cells_per_gate
     width = 1.0 / cells_per_gate
     coords = np.concatenate(

@@ -5,10 +5,10 @@ artificial variables s in [A D][x; s] = b, x, s >= 0 (D = diag(sign b), so
 x = 0, s = |b| is always feasible), solved by scipy's HiGHS.  A verdict is
 accepted only after a numpy check that does not trust the solver:
 
-- FEASIBLE: the clipped witness x >= 0 satisfies ||A x - b||_inf <= tol;
+- FEASIBLE: the clipped witness x >= 0 satisfies ||A x - b||_inf <= LP_TOL;
 - INFEASIBLE: the phase-1 equality duals y form a Farkas certificate,
-  max(A^T y) <= tol and b^T y > tol (for x >= 0 with A x = b,
-  b^T y = x^T A^T y <= 0 up to tol);
+  max(A^T y) <= LP_TOL and b^T y > LP_TOL (for x >= 0 with A x = b,
+  b^T y = x^T A^T y <= 0 up to LP_TOL);
 - anything else is INDETERMINATE.
 """
 
@@ -19,6 +19,10 @@ from enum import Enum
 
 import numpy as np
 from scipy import sparse
+
+# Acceptance tolerance of both checks, and the solver's iteration limit.
+LP_TOL = 1e-9
+LP_MAX_ITER = 10**6
 
 
 class LpStatus(Enum):
@@ -31,17 +35,12 @@ class LpStatus(Enum):
 class Phase1Result:
     status: LpStatus
     x: np.ndarray | None  # checked feasible point for the original variables
-    y: np.ndarray | None  # checked Farkas vector: A^T y <= tol, b^T y > tol
+    y: np.ndarray | None  # checked Farkas vector: A^T y <= LP_TOL, b^T y > LP_TOL
     objective: float  # phase-1 optimum: sum of artificials
     iterations: int
 
 
-def phase1(
-    a,
-    b: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 10**6,
-) -> Phase1Result:
+def phase1(a, b: np.ndarray) -> Phase1Result:
     """Phase-1 feasibility for A x = b, x >= 0 (A dense or scipy.sparse)."""
     # Deferred: scipy.optimize costs ~0.2 s and ~19 MB at import, which every
     # process that never solves an LP would otherwise pay.
@@ -57,14 +56,14 @@ def phase1(
         b_eq=b,
         bounds=(0, None),
         method="highs",
-        options={"maxiter": max_iter},
+        options={"maxiter": LP_MAX_ITER},
     )
     if res.status != 0:
         return Phase1Result(LpStatus.INDETERMINATE, None, None, np.nan, res.nit)
     x = np.clip(res.x[:n], 0.0, None)
-    if np.max(np.abs(a @ x - b), initial=0.0) <= tol:
+    if np.max(np.abs(a @ x - b), initial=0.0) <= LP_TOL:
         return Phase1Result(LpStatus.FEASIBLE, x, None, res.fun, res.nit)
     y = np.asarray(res.eqlin.marginals, dtype=float)
-    if np.max(a.T @ y, initial=-np.inf) <= tol and b @ y > tol:
+    if np.max(a.T @ y, initial=-np.inf) <= LP_TOL and b @ y > LP_TOL:
         return Phase1Result(LpStatus.INFEASIBLE, None, y, res.fun, res.nit)
     return Phase1Result(LpStatus.INDETERMINATE, None, None, res.fun, res.nit)

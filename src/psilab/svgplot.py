@@ -19,8 +19,8 @@ def _fmt(v: float) -> str:
     return "%.6g" % v
 
 
-def render_lines(series, width=640, height=440, margin=50,
-                 title: str = "", x_label: str = "", y_label: str = "") -> str:
+def render_lines(series, title: str = "", x_label: str = "",
+                 y_label: str = "") -> str:
     """Render a list of (xs, ys) pairs as an SVG document string."""
     if not series:
         raise ValueError("nothing to plot")
@@ -36,6 +36,7 @@ def render_lines(series, width=640, height=440, margin=50,
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
+    width, height, margin = 640, 440, 50  # viewport and frame inset, px
     inner_w = width - 2 * margin
     inner_h = height - 2 * margin
 

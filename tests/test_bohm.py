@@ -302,13 +302,15 @@ class TestTrajectories:
         assert np.max(np.abs(coarse.final_x - fine.final_x)) < 1e-3
 
     def test_single_trajectory_wrapper(self, record_half):
-        tr = bohm.integrate_trajectory(1.0, record_half)
-        assert tr.outcome == bohm.OUTCOME_PLUS
-        assert tr.xs.shape == record_half.times.shape
-        assert abs(tr.sigmas[-1] - 1.0) < 1e-2
-        csv = bohm.trajectories_to_csv([tr])
+        times = record_half.times
+        xs, sigmas = bohm.trajectory_paths(record_half, [1.0])
+        ens = bohm.integrate_ensemble(record_half, [1.0])
+        assert ens.outcomes[0] == bohm.OUTCOME_PLUS
+        assert xs.shape == sigmas.shape == (len(times), 1)
+        assert abs(sigmas[-1, 0] - 1.0) < 1e-2
+        csv = bohm.trajectories_to_csv(times, xs, sigmas)
         assert csv.splitlines()[0] == "traj_id,t,x,sigma"
-        assert len(csv.splitlines()) == 1 + len(tr.times)
+        assert len(csv.splitlines()) == 1 + len(times)
 
 
 def quantile_oracle(record, x0):
@@ -338,16 +340,19 @@ class TestQuantileOracle:
         n = 400
         res = bohm.beam_splitter_scene(prep, n, seed=1)
         gate3 = quantile_oracle(res.record, res.x0)
-        assert (res.gate3, res.gate4) == (gate3, n - gate3)
+        assert (res.stats.n_plus, res.stats.n_minus) == (gate3, n - gate3)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=40))
 def test_quantile_map_keeps_order(record_half, x0):
-    ens = bohm.integrate_ensemble(record_half, x0, keep_paths=True)
+    ens = bohm.integrate_ensemble(record_half, x0)
+    xs, sigmas = bohm.trajectory_paths(record_half, x0)
     order = np.argsort(x0, kind="stable")
     assert np.all(np.diff(ens.final_x[order]) >= 0)
-    assert np.all(np.diff(ens.paths[:, order], axis=1) >= 0)
+    assert np.all(np.diff(xs[:, order], axis=1) >= 0)
+    assert np.array_equal(xs[-1], ens.final_x)
+    assert np.array_equal(sigmas[-1], ens.final_sigma, equal_nan=True)
 
 
 class TestEnsemble:
@@ -358,7 +363,7 @@ class TestEnsemble:
 
     def test_born_rule_small(self, default_config):
         n = 1000
-        stats = bohm.run_ensemble(default_config, np.pi / 3, n, seed=7)
+        stats = bohm.run_ensemble(default_config, np.pi / 3, n, seed=7).stats
         assert stats.valid
         p = np.cos(np.pi / 6) ** 2
         assert abs(stats.p_plus - p) < 3.0 * np.sqrt(p * (1 - p) / n)
@@ -366,28 +371,28 @@ class TestEnsemble:
         assert stats.e_sigma == pytest.approx(stats.p_plus - stats.p_minus)
 
     def test_theta_zero_exact(self, default_config):
-        stats = bohm.run_ensemble(default_config, 0.0, 200, seed=3)
+        stats = bohm.run_ensemble(default_config, 0.0, 200, seed=3).stats
         assert stats.p_plus == 1.0 and stats.n_unresolved == 0
 
 
 class TestBeamSplitter:
     def test_plus_exits_gate3(self):
-        res = bohm.beam_splitter_scene("plus", 400, seed=5)
+        res = bohm.beam_splitter_scene("plus", 400, seed=5).stats
         assert res.valid
         # The thin-barrier ideal routes everything to gate 3; the finite
         # momentum spread of the packets leaks a few tenths of a percent.
-        assert res.p_gate3() > 0.97
+        assert res.p_plus > 0.97
 
     def test_minus_exits_gate4(self):
-        res = bohm.beam_splitter_scene("minus", 400, seed=5)
+        res = bohm.beam_splitter_scene("minus", 400, seed=5).stats
         assert res.valid
-        assert res.p_gate3() < 0.03
+        assert res.p_plus < 0.03
 
     def test_psi1_splits_evenly(self):
         n = 400
         res = bohm.beam_splitter_scene("psi1", n, seed=5)
-        assert res.valid
-        assert abs(res.p_gate3() - 0.5) < 3.0 * np.sqrt(0.25 / n)
+        assert res.stats.valid
+        assert abs(res.stats.p_plus - 0.5) < 3.0 * np.sqrt(0.25 / n)
         # Mass-level calibration is much tighter than the trajectory count.
         assert abs(bohm.transmitted_mass(res.record) - 0.5) < 1e-3
 

@@ -206,6 +206,17 @@ class TestUsage:
     def test_bad_flag_value(self, tmp_path):
         assert run(["pbr-check", "--scene", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("command",
+                             ["pbr-table", "pbr-check", "escape-demo", "selftest"])
+    def test_artifact_flags_only_on_bohm_commands(self, tmp_path, capsys, command):
+        for flag in ("--csv", "--svg"):
+            assert run([command, flag, "--out", str(tmp_path)]) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("csv = true\n")
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "run.cfg:1: unknown key 'csv'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
 
 class TestSelftest:
     def test_all_checks_pass(self, tmp_path, capsys):

@@ -1,0 +1,46 @@
+"""Write every subcommand's artifacts at fixed inputs, one directory per case.
+
+    PYTHONPATH=src python tools/snapshot_artifacts.py OUT
+
+Runs `psilab.cli.main` for each case below into `OUT/<case>/`.  Identical
+code gives byte-identical trees, so a refactor is checked by running the
+script against two checkouts (point PYTHONPATH at each one's `src/`) and
+comparing the trees with `diff -r`.  Exits 1 if any case exits non-zero.
+"""
+
+import os
+import sys
+
+from psilab.cli import main
+
+CASES = {
+    **{f"bohm-bs-{prep}": ["bohm-bs", "--prep", prep, "--n", "400",
+                           "--csv", "--svg"]
+       for prep in ("psi1", "psi2", "plus", "minus")},
+    "bohm-sg": ["bohm-sg", "--n", "10000", "--csv", "--svg"],
+    "pbr-table": ["pbr-table"],
+    "pbr-check-overlap": ["pbr-check", "--scene", "overlap"],
+    "pbr-check-disjoint": ["pbr-check", "--scene", "disjoint"],
+    "pbr-check-n3": ["pbr-check", "--scene", "n3"],
+    "pbr-check-n3-wide": ["pbr-check", "--scene", "n3",
+                          "--cells-per-support", "5", "--shared", "2"],
+    "escape-demo": ["escape-demo"],
+    "selftest": ["selftest"],
+}
+
+
+def run(out_root: str) -> int:
+    failed = []
+    for case, argv in CASES.items():
+        rc = main(argv + ["--out", os.path.join(out_root, case)])
+        if rc != 0:
+            failed.append(f"{case} exited {rc}")
+    for line in failed:
+        print(f"error: {line}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(run(sys.argv[1]))

@@ -10,7 +10,6 @@ contextual (preparation-conditioned) escape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import reduce
 from itertools import product
 
@@ -235,8 +234,8 @@ def pbr_scene_problem(
         )
     if isinstance(basis, qcore.NotFound):
         raise NogoError(
-            f"no {n}-copy basis: search ended at residual {basis.residual:.3g} "
-            f"after {basis.attempts} attempts"
+            f"no {n}-copy PBR basis: the phases cannot close, the k = 0 side "
+            f"exceeds the others by margin {basis.margin:.3g}"
         )
     if states is None:
         states = [qcore.ket(0), qcore.ket_plus()]

@@ -87,8 +87,19 @@ class PreparationDensity:
 
 
 def uniform_density(space: LambdaSpace, label: str, cells) -> PreparationDensity:
-    """Uniform density supported on the given cell indices."""
+    """Uniform density supported on the given cell indices.
+
+    Raises OntologyError for an empty cell list or an index outside
+    [0, space.size).
+    """
     cells = np.asarray(cells, dtype=int)
+    # Checked on a Python list: numpy's per-call overhead on a few cells is
+    # several times larger, and support sweeps build thousands of densities.
+    listed = cells.ravel().tolist()
+    if not listed or min(listed) < 0 or max(listed) >= space.size:
+        raise OntologyError(
+            f"cells {listed} are not a nonempty subset of [0, {space.size})"
+        )
     v = np.zeros(space.size)
     total = float(np.sum(space.weights[cells]))
     v[cells] = 1.0 / total
@@ -96,9 +107,8 @@ def uniform_density(space: LambdaSpace, label: str, cells) -> PreparationDensity
 
 
 def delta_density(space: LambdaSpace, label: str, cell: int) -> PreparationDensity:
-    v = np.zeros(space.size)
-    v[cell] = 1.0 / float(space.weights[cell])
-    return PreparationDensity(space, label, v)
+    """Density concentrated on one cell: the uniform density on ``[cell]``."""
+    return uniform_density(space, label, [cell])
 
 
 def _check_response_table(table: np.ndarray, what: str):

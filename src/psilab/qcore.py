@@ -2,7 +2,7 @@
 
 Pure states over n qubits, tensor products, Born probabilities, and the
 orthonormal product-state measurement bases used by the no-go analysis
-(the fixed 2-qubit basis plus a numerical search for n-qubit analogues).
+(the fixed 2-qubit basis plus PBR's closed-form n-qubit measurement).
 
 Conventions: computational-basis index ordering puts the leftmost tensor
 factor in the most significant bit.  States returned by constructors have
@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import comb
 
 import numpy as np
 
-# Tolerance hierarchy: exact algebra / invariant verification / iterative search.
+# Tolerance hierarchy: exact algebra and closed forms / invariant verification.
 CONSTRUCTION_TOL = 1e-12
 VERIFICATION_TOL = 1e-10
-SEARCH_TOL = 1e-9
 
 SQRT2 = np.sqrt(2.0)
 
@@ -201,26 +201,15 @@ def table_to_csv(labels: list[str], table: np.ndarray) -> str:
 
 
 # ---------------------------------------------------------------------------
-# n-qubit basis search
+# n-qubit PBR measurement
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    """Budget for the orthonormal-basis search."""
-
-    attempts: int = 24
-    max_iter: int = 3000
-    tol: float = SEARCH_TOL
-    seed: int = 20120417
-
-
-@dataclass(frozen=True)
 class NotFound:
-    """Search failure report: best residual over all attempts."""
+    """The PBR phases cannot close: the k = 0 side exceeds the others by margin."""
 
-    residual: float
-    attempts: int
+    margin: float
 
 
 def product_states(theta: float, n: int) -> list[QState]:
@@ -233,97 +222,47 @@ def product_states(theta: float, n: int) -> list[QState]:
     return out
 
 
-def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def pbr_basis_n(theta: float, n: int) -> MeasurementBasis | NotFound:
+    """PBR's n-copy measurement: the x-th vector kills the x-th product state.
 
-
-def _polar(a: np.ndarray) -> np.ndarray:
-    """Closest unitary to a (polar factor via SVD)."""
-    w, _, vh = np.linalg.svd(a)
-    return w @ vh
-
-
-def _diag_overlaps(m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """<psi_x | Phi_x> for every column index x."""
-    return np.einsum("ix,ix->x", m.conj(), u)
-
-
-def _unpack_hermitian(p: np.ndarray, d: int) -> np.ndarray:
-    h = np.zeros((d, d), dtype=complex)
-    h[np.diag_indices(d)] = p[:d]
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            h[i, j] = p[k] + 1j * p[k + 1]
-            h[j, i] = p[k] - 1j * p[k + 1]
-            k += 2
-    return h
-
-
-def _gauss_newton_polish(m: np.ndarray, u: np.ndarray, iters: int) -> np.ndarray:
-    """Drive the diagonal overlaps to zero by tangent-space least squares.
-
-    Each step solves, in the Hermitian generator H of a small unitary move
-    u -> polar(u + i u H), the linearized system overlap_x + i (m_x^H u H)_x = 0
-    in the least-squares sense, then retracts back onto the unitary group.
-    """
-    d = m.shape[0]
-    nparams = d * d
-    basis_h = [_unpack_hermitian(np.eye(nparams)[p], d) for p in range(nparams)]
-    for _ in range(iters):
-        ov = _diag_overlaps(m, u)
-        if float(np.max(np.abs(ov) ** 2)) < 1e-28:
-            break
-        a = m.conj().T @ u
-        jac = np.empty((2 * d, nparams))
-        for p, h in enumerate(basis_h):
-            c = 1j * np.einsum("xk,kx->x", a, h)
-            jac[:d, p] = c.real
-            jac[d:, p] = c.imag
-        rhs = -np.concatenate([ov.real, ov.imag])
-        sol, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
-        u = _polar(u + 1j * (u @ _unpack_hermitian(sol, d)))
-    return u
-
-
-def pbr_basis_n(
-    theta: float, n: int, search: SearchConfig | None = None
-) -> MeasurementBasis | NotFound:
-    """Search for an orthonormal basis whose x-th vector kills the x-th product state.
-
-    The target is a unitary whose columns Phi_x satisfy <Phi_x|psi_{x_1} x ... x
-    psi_{x_n}> = 0 for every bit string x.  Each attempt starts from a seeded
-    Haar-random unitary, runs alternating projection (project each column off
-    its forbidden product state, snap back to the closest unitary via the
-    polar decomposition), then polishes with Gauss-Newton steps on the unitary
-    group.  Returns NotFound with the best squared-overlap residual if no
-    attempt converges; that is a result, not an error (for small theta no such
-    basis exists at fixed n).
+    Pusey, Barrett and Rudolph (arXiv:1111.3328): vector x is
+    <complement(x)| H^{(x)n} diag(e^{i phi_|z|}), with a phase that depends
+    only on the Hamming weight |z|.  Its overlap with product x is
+    2^{-n/2} sum_k a_k e^{i phi_k}, with sides a_k = C(n, k) cos^{n-k}(theta/2)
+    sin^k(theta/2), so it vanishes iff the phases close the polygon of the
+    sides.  For n >= 2 that is possible iff the k = 0 side is at most the sum
+    of the others, i.e. iff 2^{1/n} - 1 <= tan(theta/2).  Otherwise returns
+    NotFound with the margin (k = 0 side minus the others); that rules out
+    this construction, not every basis with the same zero pattern.  The
+    overlaps are checked to be within CONSTRUCTION_TOL before returning.
     """
     if n < 2:
         raise DomainError(f"need n >= 2 qubits, got {n}")
     if not (0.0 < theta < np.pi / 2):
         raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
-    cfg = search or SearchConfig()
-    prods = product_states(theta, n)
-    d = 2**n
-    m = np.array([p.amps for p in prods]).T  # column x = product state x
-
-    rng = np.random.default_rng(cfg.seed)
-    best = np.inf
-    for _ in range(cfg.attempts):
-        u = _haar_unitary(rng, d)
-        for _ in range(cfg.max_iter):
-            ov = _diag_overlaps(m, u)
-            if float(np.max(np.abs(ov) ** 2)) < 1e-12:
-                break
-            u = _polar(u - m * ov[None, :])
-        u = _gauss_newton_polish(m, u, iters=80)
-        res = float(np.max(np.abs(_diag_overlaps(m, u)) ** 2))
-        best = min(best, res)
-        if res < cfg.tol:
-            cols = [canonical_phase(QState(n, u[:, x].copy())) for x in range(d)]
-            return MeasurementBasis(n, tuple(cols))
-    return NotFound(residual=best, attempts=cfg.attempts)
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    k = np.arange(n + 1)
+    sides = np.array([comb(n, j) for j in range(n + 1)]) * c ** (n - k) * s**k
+    margin = float(sides[0] - sides[1:].sum())
+    if margin > CONSTRUCTION_TOL:
+        return NotFound(margin)
+    # Sides go largest first into the lightest of three groups, which keeps
+    # each group within half the total; the group sums close as a triangle
+    # (cosine clipped so that the degenerate triangle at the bound closes).
+    group = np.empty(n + 1, dtype=int)
+    sums = np.zeros(3)
+    for j in np.argsort(sides)[::-1]:
+        group[j] = np.argmin(sums)
+        sums[group[j]] += sides[j]
+    g0, g1, g2 = sums
+    beta = np.arccos(np.clip((g2**2 - g0**2 - g1**2) / (2 * g0 * g1), -1.0, 1.0))
+    phases = np.array([0.0, beta, np.angle(-g0 - g1 * np.exp(1j * beta))])[group]
+    z = np.arange(2**n)
+    hadamard = (-1.0) ** np.bitwise_count(z[:, None] & z[None, :]) / 2 ** (n / 2)
+    bras = hadamard * np.exp(1j * phases[np.bitwise_count(z)])
+    # The complement of x is 2^n - 1 - x, so z[::-1] lists complement(x) in x order.
+    vectors = tuple(canonical_phase(QState(n, bras[y].conj())) for y in z[::-1])
+    worst = max(born(v, p) for v, p in zip(vectors, product_states(theta, n)))
+    if worst > CONSTRUCTION_TOL:
+        raise ArithmeticError(f"PBR phases left an overlap of {worst:.3g}")
+    return MeasurementBasis(n, vectors)

@@ -60,6 +60,14 @@ class TestPbrCheck:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "pbr_check.json").exists()
 
+    def test_n3_without_basis_names_the_margin(self, tmp_path, capsys):
+        theta = np.pi / 8
+        c, s = np.cos(theta / 2), np.sin(theta / 2)
+        margin = 2 * c**3 - (c + s) ** 3  # k = 0 side minus the other sides
+        argv = ["pbr-check", "--scene", "n3", "--theta", str(theta)]
+        assert run([*argv, "--out", str(tmp_path)]) == 2
+        assert f"margin {margin:.3g}" in capsys.readouterr().err
+
 
 def test_module_entry_point_imports_cli_once(tmp_path):
     src = os.path.dirname(os.path.dirname(psilab.__file__))

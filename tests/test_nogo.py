@@ -195,10 +195,11 @@ class TestSparseAssembly:
 
 class TestCertificates:
     @pytest.mark.parametrize("n, theta", [
-        (2, np.pi / 4), (3, np.pi / 4), (4, np.pi / 6),
+        (2, np.pi / 4), (3, np.pi / 4), (4, np.pi / 6), (4, np.pi / 4),
     ])
     def test_phase1_optimum_is_two_to_the_n_plus_one(self, n, theta):
-        """Observed regression value for cells_per_support=4, shared=2."""
+        """Observed regression value for cells_per_support=4, shared=2, with
+        PBR's closed-form basis."""
         prob = scene(n, theta)
         rep = nogo.lp_feasibility(prob)
         assert rep.status is LpStatus.INFEASIBLE
@@ -288,7 +289,7 @@ class TestSceneDomain:
         {"shared": -1},
         {"shared": 5},
         {"cells_per_support": 0, "shared": 0},
-        {"n": 3, "basis": qcore.NotFound(residual=1e-3, attempts=8)},
+        {"n": 3, "basis": qcore.NotFound(margin=0.261)},
     ])
     def test_outside_domain_raises(self, kw):
         with pytest.raises(nogo.NogoError):

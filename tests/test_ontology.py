@@ -33,6 +33,20 @@ class TestTypes:
         with pytest.raises(ont.OntologyError):
             ont.PreparationDensity(space, "bad", np.array([2.5, -0.5, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("build, cells", [
+        (ont.uniform_density, []),
+        (ont.uniform_density, [5]),
+        (ont.uniform_density, [-1]),
+        (ont.uniform_density, [0, 3]),
+        (ont.delta_density, 7),
+        (ont.delta_density, 3),
+        (ont.delta_density, -1),
+    ])
+    def test_density_cells_outside_space_rejected(self, build, cells):
+        space = ont.LambdaSpace(weights=np.ones(3))
+        with pytest.raises(ont.OntologyError):
+            build(space, "bad", cells)
+
     def test_response_normalization_rejected(self):
         with pytest.raises(ont.OntologyError):
             ont.UniversalResponse(("a", "b"), np.array([[0.5, 0.5], [0.4, 0.5]]))

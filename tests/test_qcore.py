@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from psilab import qcore
 
@@ -144,6 +145,12 @@ class TestBasisInvariants:
             assert abs(total - 1.0) < 1e-9
 
 
+def max_product_overlap(basis, theta):
+    """Largest |<Phi_x|psi_x>|^2 of a basis against its own product states."""
+    prods = qcore.product_states(theta, basis.dims)
+    return max(qcore.born(v, p) for v, p in zip(basis.vectors, prods))
+
+
 class TestPbrBasisN:
     def test_n2_quarter_pi_zero_pattern(self):
         basis = qcore.pbr_basis_n(np.pi / 4, 2)
@@ -164,11 +171,37 @@ class TestPbrBasisN:
             assert qcore.born(basis.vectors[x], prods[x]) < 1e-9
 
     def test_small_theta_not_found(self):
-        # At fixed n the pattern is unreachable for strongly overlapping pairs.
-        cfg = qcore.SearchConfig(attempts=4, max_iter=500)
-        r = qcore.pbr_basis_n(0.05, 2, cfg)
+        # At fixed n the PBR phases cannot close for strongly overlapping pairs;
+        # at n = 2 the margin c^2 - 2cs - s^2 is cos(theta) - sin(theta).
+        r = qcore.pbr_basis_n(0.05, 2)
         assert isinstance(r, qcore.NotFound)
-        assert r.residual > 1e-6
+        assert r.margin > 1e-6
+        assert r.margin == pytest.approx(np.cos(0.05) - np.sin(0.05), abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_basis_at_the_bound(self, n):
+        """The degenerate polygon at 2^{1/n} - 1 = tan(theta/2) still closes;
+        1e-6 below the bound it cannot."""
+        theta = 2 * np.arctan(2 ** (1 / n) - 1)
+        basis = qcore.pbr_basis_n(theta, n)
+        assert isinstance(basis, qcore.MeasurementBasis)
+        assert max_product_overlap(basis, theta) <= qcore.CONSTRUCTION_TOL
+        assert isinstance(qcore.pbr_basis_n(theta - 1e-6, n), qcore.NotFound)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        theta=st.floats(0.0, np.pi / 2, exclude_min=True, exclude_max=True),
+    )
+    def test_basis_iff_pbr_bound(self, n, theta):
+        assume(abs(theta - 2 * np.arctan(2 ** (1 / n) - 1)) > 1e-9)
+        r = qcore.pbr_basis_n(theta, n)
+        in_bound = 2 ** (1 / n) - 1 <= np.tan(theta / 2)
+        assert isinstance(r, qcore.MeasurementBasis) == in_bound
+        if in_bound:
+            assert max_product_overlap(r, theta) <= qcore.CONSTRUCTION_TOL
+        else:
+            assert r.margin > 0
 
     def test_invalid_args(self):
         with pytest.raises(qcore.DomainError):

@@ -258,8 +258,9 @@ def pbr_basis_n(theta: float, n: int) -> MeasurementBasis | NotFound:
     beta = np.arccos(np.clip((g2**2 - g0**2 - g1**2) / (2 * g0 * g1), -1.0, 1.0))
     phases = np.array([0.0, beta, np.angle(-g0 - g1 * np.exp(1j * beta))])[group]
     z = np.arange(2**n)
-    hadamard = (-1.0) ** np.bitwise_count(z[:, None] & z[None, :]) / 2 ** (n / 2)
-    bras = hadamard * np.exp(1j * phases[np.bitwise_count(z)])
+    weights = np.array([int(i).bit_count() for i in z])  # Hamming weight |z|
+    hadamard = (-1.0) ** weights[z[:, None] & z[None, :]] / 2 ** (n / 2)
+    bras = hadamard * np.exp(1j * phases[weights])
     # The complement of x is 2^n - 1 - x, so z[::-1] lists complement(x) in x order.
     vectors = tuple(canonical_phase(QState(n, bras[y].conj())) for y in z[::-1])
     worst = max(born(v, p) for v, p in zip(vectors, product_states(theta, n)))

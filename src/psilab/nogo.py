@@ -50,18 +50,18 @@ class ContradictionCertificate:
 
     At ``witness`` each constraint listed in ``forced`` applies (all densities
     in its preparation tuple are positive there), so the response entries for
-    all outcomes vanish while they must sum to one.
+    all outcomes vanish while they must sum to one.  ``margin`` is b^T y of
+    PBR's closed-form Farkas vector, q^n when n copies share mass q.
     """
 
     witness: tuple[int, ...]
     forced: tuple[ZeroConstraint, ...]
+    margin: float
 
 
 @dataclass(frozen=True)
 class NoContradiction:
     """No lambda tuple is simultaneously constrained for every outcome."""
-
-    reason: str = "supports admit no forcing tuple"
 
 
 def _born_values(states, basis: qcore.MeasurementBasis, arity: int) -> dict:
@@ -95,16 +95,55 @@ def zero_constraints(
     ]
 
 
+def _kron_rows(factors, combos, n_tuples: int) -> np.ndarray:
+    """Per tuple of factor indices, the Kronecker product of those 1-D factors
+    (flattened in itertools.product order over their cells)."""
+    return np.array(
+        [reduce(np.multiply.outer, [factors[j] for j in c]).ravel() for c in combos]
+    ).reshape(len(combos), n_tuples)
+
+
+def _forcing(densities, cells, constraints, n_outcomes: int, arity: int):
+    """PBR's forcing step as a closed-form Farkas vector: (y_norm, verdict).
+
+    Over the lambda tuples t of ``cells`` in itertools.product order, w_z(t)
+    is the Kronecker row of constraint z's weighted densities, each restricted
+    to its support, and y_norm(t) = min over outcomes of the max of w_z(t)
+    over that outcome's constraints.  With y_norm on the normalization rows
+    and -1 on the zero rows, A^T y <= 0 and b^T y = sum(y_norm) less the
+    vanishing Born values.  The witness is the first t with y_norm(t) > 0.
+    """
+    factors = []
+    for d in densities:
+        f, s = np.zeros(d.space.size), ont.support(d)
+        f[s] = d.values[s] * d.space.weights[s]
+        factors.append(f[cells])
+    w = _kron_rows(factors, [z.preps for z in constraints], len(cells) ** arity)
+    best = np.zeros((n_outcomes, w.shape[1]))
+    np.maximum.at(best, np.array([z.outcome_index for z in constraints], int), w)
+    y_norm = best.min(axis=0)
+    hits = np.flatnonzero(y_norm > 0.0)
+    if hits.size == 0:
+        return y_norm, NoContradiction()
+    witness = np.unravel_index(hits[0], (len(cells),) * arity)
+    return y_norm, ContradictionCertificate(
+        tuple(int(cells[k]) for k in witness),
+        tuple(z for z, wz in zip(constraints, w[:, hits[0]]) if wz > 0.0),
+        float(np.sum(y_norm)),
+    )
+
+
 def analytic_contradiction(
     model: ont.OntModel,
     constraints: list[ZeroConstraint],
 ) -> ContradictionCertificate | NoContradiction:
-    """Search for a lambda tuple where the zero constraints force every outcome.
+    """Find a lambda tuple where the zero constraints force every outcome.
 
     Preparation indices in the constraints refer to the model's preparation
     insertion order.  Requires a universal (preparation-independent) response:
     for contextual models the forcing step is unavailable and
-    ContextualModelError is raised.
+    ContextualModelError is raised.  NogoError is raised for a constraint
+    whose arity or outcome index does not fit the model.
     """
     if isinstance(model.response, ont.ContextualResponse):
         raise ContextualModelError(
@@ -112,27 +151,13 @@ def analytic_contradiction(
             "preparation, so zero constraints from different preparations never "
             "apply to the same response entry"
         )
-    labels = model.prep_labels
-    supports = []
-    for label in labels:
-        mask = np.zeros(model.space.size, dtype=bool)
-        mask[ont.support(model.preparations[label])] = True
-        supports.append(mask)
-
-    arity = model.product_arity
-    n_out = len(model.response.outcomes)
-    for tup in product(range(model.space.size), repeat=arity):
-        forced = []
-        seen = set()
-        for z in constraints:
-            if len(z.preps) != arity:
-                raise NogoError("constraint arity does not match the model")
-            if all(supports[j][lam] for j, lam in zip(z.preps, tup)):
-                forced.append(z)
-                seen.add(z.outcome_index)
-        if len(seen) == n_out:
-            return ContradictionCertificate(tup, tuple(forced))
-    return NoContradiction()
+    arity, n_out = model.product_arity, len(model.response.outcomes)
+    for z in constraints:
+        if len(z.preps) != arity or not 0 <= z.outcome_index < n_out:
+            raise NogoError(f"constraint {z} does not fit arity {arity} and "
+                            f"{n_out} outcomes")
+    densities, cells = list(model.preparations.values()), np.arange(model.space.size)
+    return _forcing(densities, cells, constraints, n_out, arity)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +184,6 @@ class FeasibilityProblem:
     a_eq: sparse.csr_matrix
     b_eq: np.ndarray
 
-    @property
-    def n_vars(self) -> int:
-        return self.n_outcomes * len(self.cells) ** self.arity
-
-    def xi_shape(self) -> tuple[int, ...]:
-        return (self.n_outcomes,) + (len(self.cells),) * self.arity
-
 
 def build_feasibility_problem(
     space: ont.LambdaSpace,
@@ -183,14 +201,11 @@ def build_feasibility_problem(
 
     # Normalization: sum over outcomes at each lambda tuple.
     norm = sparse.hstack([sparse.identity(n_tuples, format="csr")] * n_outcomes)
-    # Reproduction: the Kronecker product of the weighted densities of the
-    # preparation tuple (flattened in itertools.product order), placed in its
-    # outcome's block of columns.
+    # Reproduction: the Kronecker row of the weighted densities of each
+    # preparation tuple, placed in its outcome's block of columns.
     rho_w = [d.values[cells] * space.weights[cells] for d in densities]
     keys = sorted(born)
-    kron = np.array(
-        [reduce(np.kron, [rho_w[j] for j in combo]) for _, combo in keys]
-    ).reshape(len(keys), n_tuples)
+    kron = _kron_rows(rho_w, [combo for _, combo in keys], n_tuples)
     r, t = np.nonzero(kron)  # stored entries only, as in the dense count
     outcome = np.array([i for i, _ in keys], dtype=int)
     repro = sparse.csr_matrix(
@@ -265,30 +280,6 @@ class FeasibilityReport:
     certificate_margin: float | None  # b^T y of the Farkas vector
 
 
-def _certificate_from_problem(
-    problem: FeasibilityProblem,
-) -> ContradictionCertificate | NoContradiction:
-    constraints = [
-        ZeroConstraint(i, combo, v)
-        for (i, combo), v in problem.born.items()
-        if v < ZERO_TOL
-    ]
-    resp = ont.UniversalResponse(
-        tuple(str(i) for i in range(problem.n_outcomes)),
-        np.full(
-            (problem.n_outcomes,) + (problem.space.size,) * problem.arity,
-            1.0 / problem.n_outcomes,
-        ),
-    )
-    model = ont.OntModel(
-        problem.space,
-        {d.label: d for d in problem.densities},
-        resp,
-        product_arity=problem.arity,
-    )
-    return analytic_contradiction(model, constraints)
-
-
 def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
     """Phase-1 feasibility decision with checked evidence.
 
@@ -296,20 +287,24 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
     against the equalities was checked to be within simplex.LP_TOL.
     Infeasible: returns the Farkas vector y checked in numpy (max A^T y <=
     LP_TOL, margin b^T y > LP_TOL); the residual is the phase-1 optimum, and
-    the analytic forcing tuple is attached as a cross-check when one exists.
+    the closed-form forcing verdict is attached as a cross-check.
     Indeterminate when the solver stops early or neither check passes.
     """
     res = phase1(problem.a_eq, problem.b_eq)
     if res.status is LpStatus.FEASIBLE:
-        xi = res.x.reshape(problem.xi_shape())
+        xi = res.x.reshape(problem.n_outcomes, *[len(problem.cells)] * problem.arity)
         residual = float(np.max(np.abs(problem.a_eq @ res.x - problem.b_eq)))
         return FeasibilityReport(
             res.status, xi, None, residual, res.iterations, None, None
         )
     if res.status is LpStatus.INFEASIBLE:
+        zeros = [ZeroConstraint(i, combo, v)
+                 for (i, combo), v in problem.born.items() if v < ZERO_TOL]
+        _, forcing = _forcing(problem.densities, problem.cells, zeros,
+                              problem.n_outcomes, problem.arity)
         return FeasibilityReport(
-            res.status, None, _certificate_from_problem(problem), res.objective,
-            res.iterations, res.y, float(problem.b_eq @ res.y),
+            res.status, None, forcing, res.objective, res.iterations, res.y,
+            float(problem.b_eq @ res.y),
         )
     return FeasibilityReport(res.status, None, None, np.nan, res.iterations, None, None)
 

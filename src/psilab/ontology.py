@@ -89,17 +89,18 @@ class PreparationDensity:
 def uniform_density(space: LambdaSpace, label: str, cells) -> PreparationDensity:
     """Uniform density supported on the given cell indices.
 
-    Raises OntologyError for an empty cell list or an index outside
-    [0, space.size).
+    Raises OntologyError unless the cells are a nonempty list of distinct
+    integer indices in [0, space.size).
     """
-    cells = np.asarray(cells, dtype=int)
+    cells = np.asarray(cells)
     # Checked on a Python list: numpy's per-call overhead on a few cells is
     # several times larger, and support sweeps build thousands of densities.
     listed = cells.ravel().tolist()
-    if not listed or min(listed) < 0 or max(listed) >= space.size:
-        raise OntologyError(
-            f"cells {listed} are not a nonempty subset of [0, {space.size})"
-        )
+    if not listed or len(set(listed)) < len(listed) or not all(
+        type(c) is int and 0 <= c < space.size for c in listed
+    ):
+        raise OntologyError(f"cells {listed} are not a nonempty set of distinct "
+                            f"integer indices in [0, {space.size})")
     v = np.zeros(space.size)
     total = float(np.sum(space.weights[cells]))
     v[cells] = 1.0 / total

@@ -12,7 +12,7 @@ positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from math import comb
 
@@ -134,7 +134,7 @@ class MeasurementBasis:
     """Ordered orthonormal basis of the 2^dims dimensional space."""
 
     dims: int
-    vectors: tuple[QState, ...] = field(default=())
+    vectors: tuple[QState, ...]
 
     def __post_init__(self):
         d = 2**self.dims

@@ -73,6 +73,8 @@ class TestAnalyticContradiction:
         assert isinstance(cert, nogo.ContradictionCertificate)
         # All four response entries forced to zero at the witness pair.
         assert {z.outcome_index for z in cert.forced} == {0, 1, 2, 3}
+        assert cert.witness == (0, 0)  # the first shared cell in each coordinate
+        assert cert.margin == pytest.approx(1.0, abs=1e-15)  # q^n with q = 1
 
     def test_disjoint_densities_no_contradiction(self, pair, basis2):
         model = nogo.construct_disjoint_model(*pair, basis2)
@@ -93,6 +95,15 @@ class TestAnalyticContradiction:
         with pytest.raises(nogo.ContextualModelError):
             nogo.analytic_contradiction(model, [])
 
+    @pytest.mark.parametrize("z", [
+        nogo.ZeroConstraint(0, (0,), 0.0),  # arity 1 against a 2-copy model
+        nogo.ZeroConstraint(4, (0, 0), 0.0),  # the model has 4 outcomes
+        nogo.ZeroConstraint(-1, (0, 0), 0.0),
+    ])
+    def test_constraint_not_fitting_model_rejected(self, z):
+        with pytest.raises(nogo.NogoError):
+            nogo.analytic_contradiction(overlapping_model(), [z])
+
 
 class TestLpFeasibility:
     def test_overlap_scene_infeasible(self):
@@ -105,6 +116,7 @@ class TestLpFeasibility:
         for lam in rep.certificate.witness:
             for d in prob.densities:
                 assert d.values[lam] > 0.0
+        assert rep.certificate.witness == (2, 2)  # the first shared cell
 
     def test_disjoint_scene_feasible_witness(self, pair, basis2):
         prob = nogo.pbr_scene_problem(4, 0)
@@ -152,7 +164,7 @@ def dense_reference(prob):
     return np.array(rows)
 
 
-def scene(n, theta=np.pi / 4, **kw):
+def scene(n=2, theta=np.pi / 4, **kw):
     if n == 2:
         return nogo.pbr_scene_problem(**kw)
     basis = qcore.pbr_basis_n(theta, n)
@@ -161,8 +173,31 @@ def scene(n, theta=np.pi / 4, **kw):
     )
 
 
+def closed_form_farkas(prob):
+    """PBR's Farkas vector: the forcing weights on the normalization rows,
+    -1 on the zero-constraint rows and 0 on the other reproduction rows."""
+    zero = [nogo.ZeroConstraint(i, combo, v)
+            for (i, combo), v in prob.born.items() if v < nogo.ZERO_TOL]
+    y_norm, _ = nogo._forcing(prob.densities, prob.cells, zero,
+                              prob.n_outcomes, prob.arity)
+    rows = [-1.0 if prob.born[k] < nogo.ZERO_TOL else 0.0 for k in sorted(prob.born)]
+    return np.concatenate([y_norm, rows])
+
+
 def assert_checked_evidence(prob, rep, tol=1e-9):
-    """The verdict's witness or Farkas vector, re-checked in numpy."""
+    """The verdict's witness or Farkas vector, and PBR's closed-form Farkas
+    vector, re-checked in numpy; returns the closed-form margin b^T y at unit
+    scale (largest normalization weight 1).
+
+    A positive multiple of a Farkas vector is one too.  Unscaled, b^T y is the
+    forced mass, which a tiny overlap drives below any fixed tolerance.
+    """
+    y = closed_form_farkas(prob)
+    y_norm = y[: len(prob.cells) ** prob.arity]
+    y = y / (np.max(y_norm, initial=0.0) or 1.0)
+    assert np.max(prob.a_eq.T @ y) <= tol
+    margin = prob.b_eq @ y
+    assert (margin > tol) == (rep.status is LpStatus.INFEASIBLE)
     if rep.status is LpStatus.FEASIBLE:
         x = rep.witness.reshape(-1)
         assert np.min(x) >= 0.0
@@ -173,6 +208,8 @@ def assert_checked_evidence(prob, rep, tol=1e-9):
         assert np.max(prob.a_eq.T @ y) <= tol
         assert rep.certificate_margin == pytest.approx(prob.b_eq @ y, abs=0)
         assert prob.b_eq @ y > tol
+        assert rep.certificate.margin == np.sum(y_norm)
+    return margin
 
 
 class TestSparseAssembly:
@@ -207,13 +244,23 @@ class TestCertificates:
         assert np.max(prob.a_eq.T @ y) <= 1e-9
         assert prob.b_eq @ y == pytest.approx(2**n + 1, abs=1e-9)
         assert rep.certificate_margin == pytest.approx(2**n + 1, abs=1e-9)
+        # PBR's closed form: the forced tuples carry mass q^n, q = shared/cells.
+        assert rep.certificate.margin == pytest.approx((2 / 4) ** n, abs=1e-15)
+        assert_checked_evidence(prob, rep)
 
-    @pytest.mark.parametrize("kw", [{}, {"shared": 0}])
+    @pytest.mark.parametrize("kw", [
+        {}, {"shared": 0}, {"n": 3, "cells_per_support": 5},
+    ])
     def test_scene_evidence_checks(self, kw):
-        prob = nogo.pbr_scene_problem(**kw)
+        prob = scene(**kw)
         rep = nogo.lp_feasibility(prob)
         assert_checked_evidence(prob, rep)
         assert (rep.certificate_margin is None) == (rep.status is LpStatus.FEASIBLE)
+        if rep.status is LpStatus.INFEASIBLE:  # q^n, q = shared/cells, e.g. 0.064
+            q = kw.get("shared", 2) / kw.get("cells_per_support", 4)
+            assert rep.certificate.margin == pytest.approx(
+                q ** kw.get("n", 2), abs=1e-15
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -246,7 +293,7 @@ class TestCertificates:
         rep = nogo.lp_feasibility(prob)
         want = LpStatus.INFEASIBLE if s1 & s2 else LpStatus.FEASIBLE
         assert rep.status is want
-        assert_checked_evidence(prob, rep)
+        assert (assert_checked_evidence(prob, rep) > 1e-9) == bool(s1 & s2)
 
     @pytest.mark.parametrize("shared, corrupt", [
         (2, lambda res: setattr(res.eqlin, "marginals", -res.eqlin.marginals)),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -38,13 +40,16 @@ class TestTypes:
         (ont.uniform_density, [5]),
         (ont.uniform_density, [-1]),
         (ont.uniform_density, [0, 3]),
+        (ont.uniform_density, [1.7]),
+        (ont.uniform_density, [1, 1]),
         (ont.delta_density, 7),
         (ont.delta_density, 3),
         (ont.delta_density, -1),
     ])
     def test_density_cells_outside_space_rejected(self, build, cells):
         space = ont.LambdaSpace(weights=np.ones(3))
-        with pytest.raises(ont.OntologyError):
+        named = re.escape(str(cells if isinstance(cells, list) else [cells]))
+        with pytest.raises(ont.OntologyError, match=named):
             build(space, "bad", cells)
 
     def test_response_normalization_rejected(self):

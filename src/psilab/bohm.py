@@ -266,11 +266,12 @@ def _edge_current(up, down, dx: float, hbar: float, mass: float) -> np.ndarray:
     """Current through the cells + 1 edges, summed over components.
 
     Interior edge k + 1/2 carries (hbar / (mass dx)) Im(conj(psi_k) psi_k+1);
-    the hard walls carry none.
+    the hard walls and a component given as None (identically zero) carry none.
     """
-    j = np.zeros(len(up) + 1)
+    j = np.zeros(len(up if down is None else down) + 1)
     for a in (up, down):
-        j[1:-1] += np.imag(np.conj(a[:-1]) * a[1:])
+        if a is not None:
+            j[1:-1] += np.imag(np.conj(a[:-1]) * a[1:])
     return (hbar / (mass * dx)) * j
 
 
@@ -341,7 +342,8 @@ class EvolutionRecord:
 
 
 def _frame_arrays(up, down):
-    up2, down2 = np.abs(up) ** 2, np.abs(down) ** 2
+    up2 = 0.0 if up is None else np.abs(up) ** 2
+    down2 = 0.0 if down is None else np.abs(down) ** 2
     rho = up2 + down2
     with np.errstate(divide="ignore", invalid="ignore"):
         sig = (up2 - down2) / rho
@@ -356,7 +358,8 @@ def _continuity_residual(config, up0, down0, up1, down1, rho0, rho1):
     the implicit stepper conserves exactly; ``rho0``/``rho1`` are the
     densities of the two frames.
     """
-    j = _edge_current(0.5 * (up0 + up1), 0.5 * (down0 + down1),
+    j = _edge_current(None if up0 is None else 0.5 * (up0 + up1),
+                      None if down0 is None else 0.5 * (down0 + down1),
                       config.dx, config.hbar, config.mass)
     div = np.diff(j) / config.dx
     return float(np.max(np.abs((rho1 - rho0) / config.dt + div)))
@@ -373,13 +376,16 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
     sig = np.empty_like(rho)
     cont = np.empty(n_steps)
 
-    up, down = field0.up, field0.down
-    rho[0], sig[0] = _frame_arrays(up, down)
-    for k, (up1, down1) in enumerate(_cn_steps(config, field0, n_steps)):
-        rho[k + 1], sig[k + 1] = _frame_arrays(up1, down1)
-        cont[k] = _continuity_residual(config, up, down, up1, down1,
-                                       rho[k], rho[k + 1])
-        up, down = up1, down1
+    # A component zero at the start stays so (_cn_steps): None skips its diagnostics.
+    live_up, live_down = field0.up.any(), field0.down.any()
+    u0 = field0.up if live_up else None
+    d0 = field0.down if live_down else None
+    rho[0], sig[0] = _frame_arrays(u0, d0)
+    for k, (up, down) in enumerate(_cn_steps(config, field0, n_steps)):
+        u1, d1 = (up if live_up else None), (down if live_down else None)
+        rho[k + 1], sig[k + 1] = _frame_arrays(u1, d1)
+        cont[k] = _continuity_residual(config, u0, d0, u1, d1, rho[k], rho[k + 1])
+        u0, d0 = u1, d1
 
     final = SpinorField(x=config.x, dx=config.dx, up=up, down=down, t=times[-1])
     return EvolutionRecord(
@@ -420,6 +426,9 @@ def _quantile_map(record: EvolutionRecord, x0s, frames):
     x0 = np.array(x0s, dtype=float)
     if x0.ndim != 1:
         raise DomainError("initial positions must form a 1-D sequence")
+    lo, hi = record.config.x_min, record.config.x_max
+    if not np.all((lo <= x0) & (x0 <= hi)):  # NaN fails too
+        raise DomainError(f"initial positions must be finite and in [{lo}, {hi}]")
     grid, dx = record.config.x, record.config.dx
     edges, cdf = _edge_cdf(grid, dx, record.rho[0])
     u = np.interp(x0, edges, cdf)
@@ -680,20 +689,18 @@ def bohm_ont_model(thetas=(np.pi / 3, np.pi / 2)) -> ontology.OntModel:
 
 def trajectories_to_csv(times, xs, sigmas) -> str:
     """CSV of (frames, points) position and spin arrays, one row per (point, t)."""
+    ts = ["%.15g" % t for t in np.asarray(times).tolist()]
     lines = ["traj_id,t,x,sigma"]
-    for tid in range(xs.shape[1]):
-        for t, x, s in zip(times, xs[:, tid], sigmas[:, tid]):
-            lines.append("%d,%.15g,%.15g,%.15g" % (tid, t, x, s))
+    for tid in range(xs.shape[1]):  # a column at a time: xs.T.tolist() costs RSS
+        lines += ["%d,%s,%.15g,%.15g" % (tid, t, x, s) for t, x, s in
+                  zip(ts, xs[:, tid].tolist(), sigmas[:, tid].tolist())]
     return "\n".join(lines) + "\n"
 
 
 def field_to_csv(field: SpinorField) -> str:
     """CSV snapshot of both components on the grid."""
+    cols = (field.x, field.up.real, field.up.imag, field.down.real, field.down.imag)
     lines = ["x,re_up,im_up,re_down,im_down"]
-    for k in range(len(field.x)):
-        lines.append(
-            "%.15g,%.15g,%.15g,%.15g,%.15g"
-            % (field.x[k], field.up[k].real, field.up[k].imag,
-               field.down[k].real, field.down[k].imag)
-        )
+    lines += ["%.15g,%.15g,%.15g,%.15g,%.15g" % row
+              for row in zip(*(c.tolist() for c in cols))]
     return "\n".join(lines) + "\n"

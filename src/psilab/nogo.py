@@ -18,7 +18,7 @@ from scipy import sparse
 
 from . import ontology as ont
 from . import qcore
-from .simplex import LpStatus, phase1
+from .simplex import LpStatus, is_farkas, phase1
 
 ZERO_TOL = 1e-10
 # A response entry within this of 0 or 1 counts as deterministic.
@@ -287,8 +287,9 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
     against the equalities was checked to be within simplex.LP_TOL.
     Infeasible: returns the Farkas vector y checked in numpy (max A^T y <=
     LP_TOL, margin b^T y > LP_TOL); the residual is the phase-1 optimum, and
-    the closed-form forcing verdict is attached as a cross-check.
-    Indeterminate when the solver stops early or neither check passes.
+    the closed-form forcing verdict is attached as a cross-check.  y is the
+    solver's duals or, when they fail the check, PBR's closed-form vector
+    (forcing weights, then -1 on the zero rows).  Else indeterminate.
     """
     res = phase1(problem.a_eq, problem.b_eq)
     if res.status is LpStatus.FEASIBLE:
@@ -297,14 +298,17 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
         return FeasibilityReport(
             res.status, xi, None, residual, res.iterations, None, None
         )
-    if res.status is LpStatus.INFEASIBLE:
-        zeros = [ZeroConstraint(i, combo, v)
-                 for (i, combo), v in problem.born.items() if v < ZERO_TOL]
-        _, forcing = _forcing(problem.densities, problem.cells, zeros,
-                              problem.n_outcomes, problem.arity)
+    zeros = [ZeroConstraint(i, combo, v)
+             for (i, combo), v in problem.born.items() if v < ZERO_TOL]
+    y_norm, forcing = _forcing(problem.densities, problem.cells, zeros,
+                               problem.n_outcomes, problem.arity)
+    y = res.y
+    if res.status is LpStatus.INDETERMINATE:  # Born values follow y_norm in b_eq
+        y = np.append(y_norm, np.where(problem.b_eq[len(y_norm):] < ZERO_TOL, -1.0, 0.0))
+    if res.status is LpStatus.INFEASIBLE or is_farkas(problem.a_eq, problem.b_eq, y):
         return FeasibilityReport(
-            res.status, None, forcing, res.objective, res.iterations, res.y,
-            float(problem.b_eq @ res.y),
+            LpStatus.INFEASIBLE, None, forcing, res.objective, res.iterations, y,
+            float(problem.b_eq @ y),
         )
     return FeasibilityReport(res.status, None, None, np.nan, res.iterations, None, None)
 

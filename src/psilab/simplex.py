@@ -40,6 +40,11 @@ class Phase1Result:
     iterations: int
 
 
+def is_farkas(a, b: np.ndarray, y: np.ndarray) -> bool:
+    """The numpy check of a Farkas vector: max(A^T y) <= LP_TOL < b^T y."""
+    return bool(np.max(a.T @ y, initial=-np.inf) <= LP_TOL and b @ y > LP_TOL)
+
+
 def phase1(a, b: np.ndarray) -> Phase1Result:
     """Phase-1 feasibility for A x = b, x >= 0 (A dense or scipy.sparse)."""
     # Deferred: scipy.optimize costs ~0.2 s and ~19 MB at import, which every
@@ -64,6 +69,6 @@ def phase1(a, b: np.ndarray) -> Phase1Result:
     if np.max(np.abs(a @ x - b), initial=0.0) <= LP_TOL:
         return Phase1Result(LpStatus.FEASIBLE, x, None, res.fun, res.nit)
     y = np.asarray(res.eqlin.marginals, dtype=float)
-    if np.max(a.T @ y, initial=-np.inf) <= LP_TOL and b @ y > LP_TOL:
+    if is_farkas(a, b, y):
         return Phase1Result(LpStatus.INFEASIBLE, None, y, res.fun, res.nit)
     return Phase1Result(LpStatus.INDETERMINATE, None, None, res.fun, res.nit)

@@ -91,12 +91,10 @@ def render_lines(series, title: str = "", x_label: str = "",
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         good = np.isfinite(xs) & np.isfinite(ys)
-        pts = []
-        for x, y in zip(xs[good], ys[good]):
-            px, py = to_px(x, y)
-            pts.append(f"{_fmt(px)},{_fmt(py)}")
-        if len(pts) < 2:
+        if np.count_nonzero(good) < 2:
             continue
+        px, py = to_px(xs[good], ys[good])
+        pts = ["%.6g,%.6g" % p for p in zip(px.tolist(), py.tolist())]
         color = _PALETTE[k % len(_PALETTE)]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1" '

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from psilab import bohm, nogo, ontology as ont
+from psilab import bohm, nogo, ontology as ont, svgplot
 from psilab.ontology import PsiClass
 from psilab.qcore import DomainError
 
@@ -119,7 +121,53 @@ def banded_reference_step(config, potential):
     return step
 
 
+def reference_diagnostics(config, field0):
+    """rho, sigma, norms and continuity of ``simulate`` with every component
+    evaluated, an identically zero one included."""
+    dx, dt = config.dx, config.dt
+
+    def frame(up, down):
+        up2, down2 = np.abs(up) ** 2, np.abs(down) ** 2
+        rho = up2 + down2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sig = (up2 - down2) / rho
+        sig[rho < bohm.NODE_EPS_FACTOR * np.max(rho)] = np.nan
+        return rho, np.clip(sig, -1.0, 1.0)
+
+    prev = (field0.up, field0.down)
+    rho, sig = frame(*prev)
+    rhos, sigs, cont = [rho], [sig], []
+    for comps in bohm._cn_steps(config, field0, config.n_steps):
+        rho, sig = frame(*comps)
+        j = np.zeros(config.cells + 1)
+        for a0, a1 in zip(prev, comps):
+            mid = 0.5 * (a0 + a1)
+            j[1:-1] += np.imag(np.conj(mid[:-1]) * mid[1:])
+        j *= config.hbar / (config.mass * dx)
+        cont.append(float(np.max(np.abs((rho - rhos[-1]) / dt + np.diff(j) / dx))))
+        rhos.append(rho)
+        sigs.append(sig)
+        prev = comps
+    rho = np.array(rhos)
+    return rho, np.array(sigs), np.sum(rho, axis=1) * dx, np.array(cont)
+
+
 class TestStepper:
+    @pytest.mark.parametrize("dead", ["down", "up"])
+    def test_zero_component_diagnostics_match_reference(self, dead):
+        """simulate skips the density and current of a zero component; the
+        record equals the one that evaluates them."""
+        cfg = bohm.SternGerlachConfig(t_final=0.3)
+        packet = bohm.prepare(cfg, 0.0).up
+        zero = np.zeros_like(packet)
+        up, down = (packet, zero) if dead == "down" else (zero, packet)
+        field0 = bohm.SpinorField(x=cfg.x, dx=cfg.dx, up=up, down=down)
+        rec = bohm.simulate(cfg, field0=field0)
+        got = (rec.rho, rec.sigma, rec.norms, rec.continuity)
+        for a, b in zip(got, reference_diagnostics(cfg, field0)):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert not getattr(rec.final, dead).any()
+
     @pytest.mark.parametrize("scene,field_on,component", [
         ("sg", True, 0), ("sg", True, 1), ("sg", False, 0), ("bs", False, 0),
     ])
@@ -344,7 +392,7 @@ class TestQuantileOracle:
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=40))
+@given(st.lists(st.floats(-35.0, 35.0), min_size=1, max_size=40))
 def test_quantile_map_keeps_order(record_half, x0):
     ens = bohm.integrate_ensemble(record_half, x0)
     xs, sigmas = bohm.trajectory_paths(record_half, x0)
@@ -353,6 +401,15 @@ def test_quantile_map_keeps_order(record_half, x0):
     assert np.all(np.diff(xs[:, order], axis=1) >= 0)
     assert np.array_equal(xs[-1], ens.final_x)
     assert np.array_equal(sigmas[-1], ens.final_sigma, equal_nan=True)
+
+
+@pytest.mark.parametrize("x0", [[100.0], [0.0, -35.5], [np.nan], [np.inf],
+                                [[0.0, 1.0]]],
+                         ids=["beyond_wall", "below_x_min", "nan", "inf", "2d"])
+@pytest.mark.parametrize("carry", [bohm.integrate_ensemble, bohm.trajectory_paths])
+def test_initial_points_outside_the_grid_rejected(record_half, carry, x0):
+    with pytest.raises(DomainError):
+        carry(record_half, x0)
 
 
 class TestEnsemble:
@@ -456,3 +513,98 @@ class TestFieldCsv:
         lines = text.splitlines()
         assert lines[0] == "x,re_up,im_up,re_down,im_down"
         assert len(lines) == 1 + default_config.cells
+
+
+def reference_trajectories_csv(times, xs, sigmas):
+    """The per-row loop that trajectories_to_csv replaced."""
+    lines = ["traj_id,t,x,sigma"]
+    for tid in range(xs.shape[1]):
+        for t, x, s in zip(times, xs[:, tid], sigmas[:, tid]):
+            lines.append("%d,%.15g,%.15g,%.15g" % (tid, t, x, s))
+    return "\n".join(lines) + "\n"
+
+
+def reference_field_csv(field):
+    """The per-row loop that field_to_csv replaced."""
+    lines = ["x,re_up,im_up,re_down,im_down"]
+    for k in range(len(field.x)):
+        lines.append(
+            "%.15g,%.15g,%.15g,%.15g,%.15g"
+            % (field.x[k], field.up[k].real, field.up[k].imag,
+               field.down[k].real, field.down[k].imag)
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_polyline_points(series):
+    """The per-point pixel mapping and formatting that render_lines replaced:
+    one ``points`` attribute per drawn series."""
+    xs_all = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
+    ys_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
+    finite = np.isfinite(xs_all) & np.isfinite(ys_all)
+    x_lo, x_hi = float(np.min(xs_all[finite])), float(np.max(xs_all[finite]))
+    y_lo, y_hi = float(np.min(ys_all[finite])), float(np.max(ys_all[finite]))
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    width, height, margin = 640, 440, 50
+    inner_w, inner_h = width - 2 * margin, height - 2 * margin
+    out = []
+    for xs, ys in series:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        good = np.isfinite(xs) & np.isfinite(ys)
+        pts = []
+        for x, y in zip(xs[good], ys[good]):
+            px = margin + (x - x_lo) / (x_hi - x_lo) * inner_w
+            py = height - margin - (y - y_lo) / (y_hi - y_lo) * inner_h
+            pts.append("%.6g,%.6g" % (px, py))
+        if len(pts) >= 2:
+            out.append(" ".join(pts))
+    return out
+
+
+def synthetic_paths():
+    """12 paths (ids up to 11) over 9 frames, with a NaN and an infinite
+    sigma, a NaN and an infinite x, and a negative zero."""
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 0.8, 9)
+    xs = rng.normal(scale=7.0, size=(9, 12))
+    sigmas = rng.uniform(-1.0, 1.0, size=(9, 12))
+    sigmas[4, 11], sigmas[0, 3] = np.nan, -np.inf
+    xs[2, 10], xs[6, 1], xs[1, 0] = np.inf, np.nan, -0.0
+    return times, xs, sigmas
+
+
+class TestArtifactFormatting:
+    def test_trajectories_csv_matches_row_loop(self, record_half):
+        times, xs, sigmas = synthetic_paths()
+        got = bohm.trajectories_to_csv(times, xs, sigmas)
+        assert got == reference_trajectories_csv(times, xs, sigmas)
+        assert "\n11,0.4," in got and ",nan\n" in got
+        x0 = bohm.sample_initial(record_half.initial, 12, seed=3)
+        xs, sigmas = bohm.trajectory_paths(record_half, x0)
+        times = record_half.times
+        assert (bohm.trajectories_to_csv(times, xs, sigmas)
+                == reference_trajectories_csv(times, xs, sigmas))
+
+    def test_field_csv_matches_row_loop(self, default_config):
+        bs = bohm.beam_splitter_config()
+        for field in (bohm.prepare(default_config, np.pi / 4),
+                      bohm.prepare_beam_splitter(bs, "minus")):
+            assert bohm.field_to_csv(field) == reference_field_csv(field)
+
+    @pytest.mark.parametrize("case", ["paths", "constant_y", "constant_x"])
+    def test_polylines_match_point_loop(self, case):
+        times, xs, _ = synthetic_paths()
+        series = {
+            "paths": [(times, x) for x in xs.T],
+            "constant_y": [(times, np.full_like(times, 2.5)),
+                           (times, [2.5, np.nan] + [2.5] * 7)],
+            "constant_x": [(np.full(4, -1.0), [0.0, 1.0, -np.inf, 3.0])],
+        }[case]
+        svg = svgplot.render_lines(series, title="t", x_label="t", y_label="x")
+        points = re.findall(r'points="([^"]*)"', svg)
+        assert points == reference_polyline_points(series)
+        assert len(points) == len(series)

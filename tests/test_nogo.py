@@ -173,6 +173,28 @@ def scene(n=2, theta=np.pi / 4, **kw):
     )
 
 
+def two_qubit_problem(weights, values1, values2):
+    """The 2-copy |0>, |+> problem on a weighted space; each density is
+    given as {cell: value} and normalized against the weights."""
+    pair = [qcore.ket(0), qcore.ket_plus()]
+    basis = qcore.pbr_basis_2qubit()
+    weights = np.array(weights, dtype=float)
+    space = ont.LambdaSpace(weights=weights)
+    densities = []
+    for label, values in (("psi1", values1), ("psi2", values2)):
+        v = np.zeros(len(weights))
+        v[list(values)] = list(values.values())
+        densities.append(
+            ont.PreparationDensity(space, label, v / np.sum(v * weights))
+        )
+    born = {
+        (i, combo): qcore.born(phi, qcore.tensor([pair[j] for j in combo]))
+        for combo in product(range(2), repeat=2)
+        for i, phi in enumerate(basis.vectors)
+    }
+    return nogo.build_feasibility_problem(space, densities, born, 4, 2)
+
+
 def closed_form_farkas(prob):
     """PBR's Farkas vector: the forcing weights on the normalization rows,
     -1 on the zero-constraint rows and 0 on the other reproduction rows."""
@@ -268,32 +290,31 @@ class TestCertificates:
         data=st.data(),
     )
     def test_infeasible_iff_supports_overlap(self, m, data):
-        pair = [qcore.ket(0), qcore.ket_plus()]
-        basis = qcore.pbr_basis_2qubit()
         cell_set = st.sets(st.integers(0, m - 1), min_size=1)
         positive = st.floats(1e-2, 1e2)
         s1, s2 = data.draw(cell_set), data.draw(cell_set)
-        weights = np.array(data.draw(st.lists(positive, min_size=m, max_size=m)))
-        space = ont.LambdaSpace(weights=weights)
-        densities = []
-        for label, cells in (("psi1", s1), ("psi2", s2)):
-            v = np.zeros(m)
-            v[sorted(cells)] = data.draw(
+        weights = data.draw(st.lists(positive, min_size=m, max_size=m))
+        values = [
+            dict(zip(sorted(cells), data.draw(
                 st.lists(positive, min_size=len(cells), max_size=len(cells))
-            )
-            densities.append(
-                ont.PreparationDensity(space, label, v / np.sum(v * weights))
-            )
-        born = {
-            (i, combo): qcore.born(phi, qcore.tensor([pair[j] for j in combo]))
-            for combo in product(range(2), repeat=2)
-            for i, phi in enumerate(basis.vectors)
-        }
-        prob = nogo.build_feasibility_problem(space, densities, born, 4, 2)
+            )))
+            for cells in (s1, s2)
+        ]
+        prob = two_qubit_problem(weights, *values)
         rep = nogo.lp_feasibility(prob)
         want = LpStatus.INFEASIBLE if s1 & s2 else LpStatus.FEASIBLE
         assert rep.status is want
         assert (assert_checked_evidence(prob, rep) > 1e-9) == bool(s1 & s2)
+
+    def test_duals_failing_the_check_fall_back_to_closed_form(self):
+        """Found by the property above: HiGHS's duals have max A^T y = 1.8e-9
+        > LP_TOL, while PBR's closed-form vector certifies the overlap with
+        max A^T y = 0 and b^T y = 0.987."""
+        prob = two_qubit_problem([63, 0.01, 1, 1, 0.01],
+                                 {0: 5, 1: 1, 2: 1, 3: 1, 4: 1}, {0: 6, 1: 1})
+        rep = nogo.lp_feasibility(prob)
+        assert rep.status is LpStatus.INFEASIBLE
+        assert_checked_evidence(prob, rep)
 
     @pytest.mark.parametrize("shared, corrupt", [
         (2, lambda res: setattr(res.eqlin, "marginals", -res.eqlin.marginals)),
@@ -304,6 +325,9 @@ class TestCertificates:
     def test_unchecked_solver_output_is_indeterminate(
         self, monkeypatch, shared, corrupt
     ):
+        """Solver output that fails its check is never the evidence.  With
+        disjoint supports the verdict is INDETERMINATE; with overlapping ones
+        it rests on PBR's closed-form Farkas vector instead of the duals."""
         real = scipy.optimize.linprog
 
         def bad_linprog(*args, **kwargs):
@@ -312,9 +336,16 @@ class TestCertificates:
             return res
 
         monkeypatch.setattr(scipy.optimize, "linprog", bad_linprog)
-        rep = nogo.lp_feasibility(nogo.pbr_scene_problem(4, shared))
-        assert rep.status is LpStatus.INDETERMINATE
-        assert rep.witness is None and rep.farkas is None
+        prob = nogo.pbr_scene_problem(4, shared)
+        rep = nogo.lp_feasibility(prob)
+        assert rep.witness is None
+        if shared:
+            assert rep.status is LpStatus.INFEASIBLE
+            assert np.array_equal(rep.farkas, closed_form_farkas(prob))
+            assert_checked_evidence(prob, rep)
+        else:
+            assert rep.status is LpStatus.INDETERMINATE
+            assert rep.farkas is None
 
 
 class TestPhase1:

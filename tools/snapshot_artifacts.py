@@ -18,6 +18,10 @@ CASES = {
                            "--csv", "--svg"]
        for prep in ("psi1", "psi2", "plus", "minus")},
     "bohm-sg": ["bohm-sg", "--n", "10000", "--csv", "--svg"],
+    # The one CLI run whose down component is exactly zero (at theta = pi,
+    # up is 6e-17 times the packet, not zero).
+    "bohm-sg-theta0": ["bohm-sg", "--theta", "0", "--n", "2000",
+                       "--csv", "--svg"],
     "pbr-table": ["pbr-table"],
     "pbr-check-overlap": ["pbr-check", "--scene", "overlap"],
     "pbr-check-disjoint": ["pbr-check", "--scene", "disjoint"],

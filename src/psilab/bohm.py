@@ -4,7 +4,7 @@ A two-component wave function evolves under a pair of decoupled Schrodinger
 equations whose potentials are +/- mu*(b0 + b1*x) inside a time window
 (the magnetic-gradient stage of a spin analyzer), plus an optional static
 potential shared by both components (used for the beam-splitter barrier).
-Particle positions follow the velocity field v = J/rho, so each run is a
+Particle positions are carried by the probability current, so each run is a
 deterministic map from the initial position x0 to a measurement outcome.
 
 Numerics: Crank-Nicolson stepping per component on a uniform grid with
@@ -19,7 +19,8 @@ trajectories in one dimension never cross and keep the ensemble
 |psi|^2-distributed, so the point that starts at quantile u of rho_0 sits at
 quantile u of rho_t.  F_t is the cumulative density at cell edges; the
 stepper conserves the midpoint edge current exactly, so F_t is the integral
-of the flux it carries.
+of the flux it carries.  That edge current (``_edge_current``) is the one
+current the module computes.
 
 Both scenes, the spin analyzer (``run_ensemble``) and the beam splitter
 (``beam_splitter_scene``), run the same pipeline (simulate, sample, map to
@@ -43,8 +44,8 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 from . import ontology
 from .qcore import DomainError
 
-# Density threshold (relative to the frame maximum) below which v = J/rho and
-# the local spin (|up|^2 - |down|^2)/rho are treated as undefined.
+# Density threshold (relative to the frame maximum) below which the local spin
+# (|up|^2 - |down|^2)/rho is undefined and recorded as NaN.
 NODE_EPS_FACTOR = 1e-12
 # |Sigma| must exceed 1 - SIGMA_RESOLVED at the final time to call an outcome.
 SIGMA_RESOLVED = 1e-2
@@ -60,10 +61,6 @@ class BohmError(ValueError):
 
 class ConfigError(BohmError):
     """Simulation configuration violates a validity or stability rule."""
-
-
-class NodeEncountered(BohmError):
-    """Velocity requested where the density is below the node threshold."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,7 @@ class SpinorField:
         return float(np.sum(self.rho()) * self.dx)
 
 
-def gaussian_packet(x, dx, x0=0.0, sigma=1.0, k0=0.0) -> np.ndarray:
+def gaussian_packet(x, dx, x0, sigma, k0) -> np.ndarray:
     """Discretely normalized Gaussian envelope with a plane-wave factor."""
     amp = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * k0 * x)
     amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * dx)
@@ -247,18 +244,8 @@ def _cn_steps(config: SternGerlachConfig, field0: SpinorField, steps: int):
         yield up, down
 
 
-def evolve(field0: SpinorField, config: SternGerlachConfig, steps: int) -> SpinorField:
-    """Advance a field by the given number of time steps."""
-    up, down = field0.up, field0.down
-    for up, down in _cn_steps(config, field0, steps):
-        pass
-    return SpinorField(
-        x=field0.x, dx=field0.dx, up=up, down=down, t=field0.t + steps * config.dt
-    )
-
-
 # ---------------------------------------------------------------------------
-# Derived fields
+# Probability current
 # ---------------------------------------------------------------------------
 
 
@@ -273,47 +260,6 @@ def _edge_current(up, down, dx: float, hbar: float, mass: float) -> np.ndarray:
         if a is not None:
             j[1:-1] += np.imag(np.conj(a[:-1]) * a[1:])
     return (hbar / (mass * dx)) * j
-
-
-def density_current(field: SpinorField, hbar: float = 1.0, mass: float = 1.0):
-    """Probability density and the cell-averaged edge current."""
-    j = _edge_current(field.up, field.down, field.dx, hbar, mass)
-    return field.rho(), 0.5 * (j[:-1] + j[1:])
-
-
-def velocity(field: SpinorField, xq, hbar: float = 1.0, mass: float = 1.0):
-    """Guidance velocity J/rho linearly interpolated to the query positions."""
-    rho, j = density_current(field, hbar, mass)
-    rho_q = np.interp(xq, field.x, rho)
-    if np.any(rho_q < NODE_EPS_FACTOR * np.max(rho)):
-        raise NodeEncountered(f"density below node threshold near x = {xq!r}")
-    j_q = np.interp(xq, field.x, j)
-    return j_q / rho_q
-
-
-def quantum_potential(field: SpinorField, hbar: float = 1.0, mass: float = 1.0):
-    """Per-component -hbar^2 |psi|'' / (2 M |psi|), NaN where |psi| is negligible."""
-    out = []
-    for comp in (field.up, field.down):
-        a = np.abs(comp)
-        lap = np.gradient(np.gradient(a, field.dx), field.dx)
-        dens = a**2
-        mask = dens < NODE_EPS_FACTOR * np.max(dens) if np.max(dens) > 0 else dens >= 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = -(hbar**2) * lap / (2.0 * mass * a)
-        q[mask] = np.nan
-        out.append(q)
-    return tuple(out)
-
-
-def spin_projection(field: SpinorField, xq):
-    """Local spin projection (|up|^2 - |down|^2) / rho at the query positions."""
-    rho = field.rho()
-    num = np.abs(field.up) ** 2 - np.abs(field.down) ** 2
-    rho_q = np.interp(xq, field.x, rho)
-    if np.any(rho_q < NODE_EPS_FACTOR * np.max(rho)):
-        raise NodeEncountered(f"density below node threshold near x = {xq!r}")
-    return np.clip(np.interp(xq, field.x, num) / rho_q, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +431,18 @@ def sample_initial(field0: SpinorField, n: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Outcome tallies and estimators for one trajectory ensemble."""
+    """Outcome tallies and estimators for one trajectory ensemble.
+
+    The estimators are None when no point resolved to an outcome.
+    """
 
     n: int
     n_plus: int
     n_minus: int
     n_unresolved: int
-    p_plus: float
-    p_minus: float
-    e_sigma: float
+    p_plus: float | None
+    p_minus: float | None
+    e_sigma: float | None
     seed: int
     valid: bool
 
@@ -515,11 +464,13 @@ def _stats_from_outcomes(outcomes: np.ndarray, seed: int) -> EnsembleStats:
     n_plus = int(np.sum(outcomes == OUTCOME_PLUS))
     n_minus = int(np.sum(outcomes == OUTCOME_MINUS))
     n_unres = n - n_plus - n_minus
-    resolved = max(n_plus + n_minus, 1)
-    p_plus = n_plus / resolved
+    p_plus = p_minus = e_sigma = None
+    if n_plus + n_minus:
+        p_plus = n_plus / (n_plus + n_minus)
+        p_minus, e_sigma = 1.0 - p_plus, 2.0 * p_plus - 1.0
     return EnsembleStats(
         n=n, n_plus=n_plus, n_minus=n_minus, n_unresolved=n_unres,
-        p_plus=p_plus, p_minus=1.0 - p_plus, e_sigma=2.0 * p_plus - 1.0,
+        p_plus=p_plus, p_minus=p_minus, e_sigma=e_sigma,
         seed=seed, valid=n_unres <= 0.01 * n,
     )
 
@@ -696,11 +647,3 @@ def trajectories_to_csv(times, xs, sigmas) -> str:
                   zip(ts, xs[:, tid].tolist(), sigmas[:, tid].tolist())]
     return "\n".join(lines) + "\n"
 
-
-def field_to_csv(field: SpinorField) -> str:
-    """CSV snapshot of both components on the grid."""
-    cols = (field.x, field.up.real, field.up.imag, field.down.real, field.down.imag)
-    lines = ["x,re_up,im_up,re_down,im_down"]
-    lines += ["%.15g,%.15g,%.15g,%.15g,%.15g" % row
-              for row in zip(*(c.tolist() for c in cols))]
-    return "\n".join(lines) + "\n"

@@ -91,11 +91,11 @@ def _apply_config(parser: argparse.ArgumentParser, ns: argparse.Namespace,
         for a in parser._actions
         if a.dest not in ("help", "config")
     }
-    explicit = set()
+    # Re-parse with every default suppressed: the dests that come back are
+    # the ones the command line gave, abbreviated flags included.
     for a in parser._actions:
-        for opt in a.option_strings:
-            if any(tok == opt or tok.startswith(opt + "=") for tok in argv_tail):
-                explicit.add(a.dest)
+        a.default = argparse.SUPPRESS
+    explicit = set(vars(parser.parse_args(argv_tail)))
     for key, (text, lineno) in _parse_kv_file(ns.config).items():
         if key not in actions:
             raise UsageError(f"{ns.config}:{lineno}: unknown key {key!r}")
@@ -336,8 +336,6 @@ def _write_paths(ns, out, stem, title, run: bohm.EnsembleRun) -> None:
 
 def _run_bohm_sg(ns) -> int:
     out = _out_dir(ns)
-    if not 0.0 <= ns.theta <= np.pi:
-        raise UsageError(f"theta must lie in [0, pi], got {ns.theta}")
     _check_ensemble_args(ns)
     try:
         cfg = bohm.SternGerlachConfig(

@@ -223,12 +223,11 @@ def predict(model: OntModel, prep_label: str, context: str, outcome: str) -> flo
     return float(np.sum(resp.table[idx] * rho_w))
 
 
-def predict_product(model: OntModel, labels, basis=None, outcome_index: int = 0) -> float:
+def predict_product(model: OntModel, labels, outcome_index: int = 0) -> float:
     """Joint-preparation probability under a universal multi-lambda response.
 
     ``labels`` selects one preparation per tensor factor; the response table
     is contracted against the product of the corresponding weighted densities.
-    ``basis`` is accepted for outcome-count validation only.
     """
     resp = model.response
     if not isinstance(resp, UniversalResponse):
@@ -238,8 +237,6 @@ def predict_product(model: OntModel, labels, basis=None, outcome_index: int = 0)
         raise OntologyError(
             f"expected {model.product_arity} labels, got {len(labels)}"
         )
-    if basis is not None and len(basis) != len(resp.outcomes):
-        raise OntologyError("basis size does not match response outcomes")
     acc = resp.table[outcome_index]
     # Contract trailing lambda axes one by one against weighted densities.
     for label in reversed(labels):
@@ -281,23 +278,6 @@ def classify(model: OntModel) -> PsiClass:
             if overlap(model.preparations[a], model.preparations[b]) > 0.0:
                 return PsiClass.PSI_EPISTEMIC
     return PsiClass.PSI_ONTIC
-
-
-def joint_distribution(model: OntModel, prep_label: str, context: str) -> np.ndarray:
-    """Joint (outcome, lambda) distribution generated by a contextual model.
-
-    Row alpha, column k holds P(alpha | lambda_k, prep) * rho(lambda_k | prep)
-    * weight_k, so rows marginalize to predict() and columns to the lambda
-    distribution.
-    """
-    resp = model.response
-    if not isinstance(resp, ContextualResponse):
-        raise OntologyError("joint_distribution requires a contextual response")
-    key = (prep_label, context)
-    if key not in resp.tables:
-        raise UnknownLabel(f"no response table for {key}")
-    dens = model.density(prep_label)
-    return resp.tables[key] * (dens.values * model.space.weights)[None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,20 @@ class TestBohmSg:
             for name in names:
                 assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
-    def test_invalid_theta_is_usage_error(self, tmp_path):
-        assert run(["bohm-sg", "--theta", "7", "--out", str(tmp_path)]) == 2
+    def test_invalid_theta_is_usage_error(self, tmp_path, capsys):
+        for theta in ("7", "nan"):
+            assert run(["bohm-sg", "--theta", theta, "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_no_resolved_point_reports_null_estimators(self, tmp_path):
+        # At t = 0.3 the packets have not separated: no point resolves.
+        assert run(["bohm-sg", "--t-final", "0.3", "--n", "200",
+                    "--out", str(tmp_path)]) == 1
+        stats = load(tmp_path / "bohm_sg.json")["stats"]
+        assert stats["counts"]["unresolved"] == 200 and not stats["valid"]
+        assert stats["p_plus"] is None and stats["p_minus"] is None
+        assert stats["e_sigma"] is None
 
     def test_zero_paths_writes_no_trajectories(self, tmp_path):
         assert run(["bohm-sg", *self.ARGS, "--out", str(tmp_path),
@@ -182,6 +194,14 @@ class TestConfigFile:
                     "--out", str(tmp_path)]) == 0
         payload = load(tmp_path / "bohm_sg.json")
         assert payload["stats"]["n"] == 30
+
+    @pytest.mark.parametrize("flag", [["--see", "5"], ["--see=5"]])
+    def test_abbreviated_command_line_flag_wins(self, tmp_path, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theta = 0\nn = 25\nt_final = 1.5\nseed = 9\n")
+        assert run(["bohm-sg", *flag, "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 0
+        assert load(tmp_path / "bohm_sg.json")["stats"]["seed"] == 5
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

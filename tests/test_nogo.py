@@ -427,7 +427,7 @@ class TestDisjointModel:
             for i, phi in enumerate(basis2.vectors):
                 want = qcore.born(phi, joint)
                 got = ont.predict_product(
-                    model, (labels[j], labels[k]), basis2, outcome_index=i
+                    model, (labels[j], labels[k]), outcome_index=i
                 )
                 assert abs(got - want) < 1e-12
 

@@ -204,18 +204,24 @@ class TestClassify:
         assert ont.classify(model) is ont.classify(bs_model)
 
 
+def joint(model, prep, context):
+    """Row alpha, column k: P(alpha | lambda_k, prep) rho(lambda_k | prep) w_k."""
+    dens = model.preparations[prep]
+    return model.response.tables[(prep, context)] * (dens.values * model.space.weights)
+
+
 class TestChainRule:
     def test_joint_marginalizes_to_predict(self, bs_model):
         for prep in bs_model.prep_labels:
-            joint = ont.joint_distribution(bs_model, prep, "gates")
+            j = joint(bs_model, prep, "gates")
             for i, outcome in enumerate(("3", "4")):
                 p = ont.predict(bs_model, prep, "gates", outcome)
-                assert abs(float(np.sum(joint[i])) - p) < 1e-12
+                assert abs(float(np.sum(j[i])) - p) < 1e-12
 
     def test_joint_lambda_marginal_is_density(self, bs_model):
-        joint = ont.joint_distribution(bs_model, "psi1", "gates")
+        j = joint(bs_model, "psi1", "gates")
         dens = bs_model.preparations["psi1"]
-        lam_marginal = np.sum(joint, axis=0)
+        lam_marginal = np.sum(j, axis=0)
         assert np.max(np.abs(lam_marginal - dens.values * bs_model.space.weights)) < 1e-15
 
 

@@ -22,13 +22,19 @@ stepper conserves the midpoint edge current exactly, so F_t is the integral
 of the flux it carries.  That edge current (``_edge_current``) is the one
 current the module computes.
 
+``simulate`` streams the evolution: each frame is reduced to its norm and
+continuity residual and then dropped, so the record keeps no per-frame
+history, only the first and the last field.  Points given to ``simulate`` up
+front are carried through every frame inside the stepping loop, which
+records their positions and local spin as (frames, points) arrays for the
+CSV and SVG writers; ``integrate_ensemble`` carries any other points from
+the first frame to the last.
+
 Both scenes, the spin analyzer (``run_ensemble``) and the beam splitter
-(``beam_splitter_scene``), run the same pipeline (simulate, sample, map to
-the final frame, tally) and return one ``EnsembleRun``; they differ only in
-the rule that turns a final point into an OUTCOME_* value.
-``integrate_ensemble`` reads the first and the last frame only;
-``trajectory_paths`` gives positions and local spin at every frame as
-(frames, points) arrays for the CSV and SVG writers.
+(``beam_splitter_scene``), run the same pipeline (sample, simulate with the
+first ``paths`` samples tracked, map to the final frame, tally) and return
+one ``EnsembleRun``; they differ only in the rule that turns a final point
+into an OUTCOME_* value.
 """
 
 from __future__ import annotations
@@ -269,32 +275,40 @@ def _edge_current(up, down, dx: float, hbar: float, mass: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvolutionRecord:
-    """Field history sampled every step: density and local spin.
+    """One streamed evolution: per-step diagnostics, end fields, kept paths.
 
-    Spin entries are NaN where the density falls below the node threshold of
-    their frame.  ``continuity`` holds, per step, the largest residual of the
-    discrete conservation law (d_t rho + div J = 0) evaluated with the
-    midpoint edge current that the implicit stepper conserves.
+    No per-frame density is kept.  ``norms`` holds the norm of every frame
+    and ``continuity``, per step, the largest residual of the discrete
+    conservation law (d_t rho + div J = 0) evaluated with the midpoint edge
+    current that the implicit stepper conserves.  ``paths_x`` and
+    ``paths_sigma`` hold the position and local spin of each tracked point
+    at every frame, shape (frames, points); spin entries are NaN where the
+    density falls below the node threshold of their frame.
     """
 
     config: SternGerlachConfig
     times: np.ndarray
-    rho: np.ndarray
-    sigma: np.ndarray
     norms: np.ndarray
     continuity: np.ndarray
+    paths_x: np.ndarray
+    paths_sigma: np.ndarray
     initial: SpinorField
     final: SpinorField
 
 
-def _frame_arrays(up, down):
+def _densities(up, down):
+    """|up|^2, |down|^2 and their sum rho; a component given as None is 0."""
     up2 = 0.0 if up is None else np.abs(up) ** 2
     down2 = 0.0 if down is None else np.abs(down) ** 2
-    rho = up2 + down2
+    return up2, down2, up2 + down2
+
+
+def _local_spin(up2, down2, rho):
+    """(|up|^2 - |down|^2) / rho, NaN below the node threshold of the frame."""
     with np.errstate(divide="ignore", invalid="ignore"):
         sig = (up2 - down2) / rho
-    sig[rho < NODE_EPS_FACTOR * np.max(rho)] = np.nan
-    return rho, np.clip(sig, -1.0, 1.0)
+    sig[rho < NODE_EPS_FACTOR * rho.max()] = np.nan
+    return np.clip(sig, -1.0, 1.0, out=sig)
 
 
 def _continuity_residual(config, up0, down0, up1, down1, rho0, rho1):
@@ -311,33 +325,89 @@ def _continuity_residual(config, up0, down0, up1, down1, rho0, rho1):
     return float(np.max(np.abs((rho1 - rho0) / config.dt + div)))
 
 
+def _edges(x, dx):
+    """The cells + 1 edges of the cells centred on x."""
+    return np.concatenate(([x[0] - 0.5 * dx], x + 0.5 * dx))
+
+
+def _cdf(rho, dx):
+    """Normalized cumulative density at the cell edges (0 at the first)."""
+    cdf = np.empty(len(rho) + 1)
+    cdf[0] = 0.0
+    np.cumsum(rho, out=cdf[1:])
+    cdf[1:] *= dx
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _start_quantiles(config: SternGerlachConfig, field0: SpinorField, x0s):
+    """The points as a 1-D array and their quantiles F_0(x0) under field0.
+
+    DomainError unless every point is finite and in [x_min, x_max].
+    """
+    x0 = np.array(x0s, dtype=float)
+    if x0.ndim != 1:
+        raise DomainError("initial positions must form a 1-D sequence")
+    lo, hi = config.x_min, config.x_max
+    if not np.all((lo <= x0) & (x0 <= hi)):  # NaN fails too
+        raise DomainError(f"initial positions must be finite and in [{lo}, {hi}]")
+    cdf = _cdf(field0.rho(), config.dx)
+    return x0, np.interp(x0, _edges(config.x, config.dx), cdf)
+
+
+def _quantile_map(grid, edges, dx, q, densities):
+    """Positions x_t = F_t^-1(q) in one frame, and the local spin there.
+
+    ``edges`` are the grid's cell edges (``_edges``) and ``densities`` the
+    frame's (|up|^2, |down|^2, rho) from ``_densities``.
+    """
+    x = np.interp(q, _cdf(densities[2], dx), edges)
+    return x, np.interp(x, grid, _local_spin(*densities))
+
+
 def simulate(config: SternGerlachConfig, theta: float = 0.0,
-             field0: SpinorField | None = None) -> EvolutionRecord:
-    """Evolve a preparation over the full configured span, recording history."""
+             field0: SpinorField | None = None, points=()) -> EvolutionRecord:
+    """Evolve a preparation over the full configured span, streaming frames.
+
+    Each frame is reduced to its norm and continuity residual and dropped.
+    The tracked ``points`` (each in [x_min, x_max], else DomainError before
+    the first step) are carried through every frame by the quantile map.
+    """
     if field0 is None:
         field0 = prepare(config, theta)
-    n_steps = config.n_steps
+    _, q = _start_quantiles(config, field0, points)
+    grid, dx, n_steps = config.x, config.dx, config.n_steps
+    edges = _edges(grid, dx)
     times = field0.t + config.dt * np.arange(n_steps + 1)
-    rho = np.empty((n_steps + 1, config.cells))
-    sig = np.empty_like(rho)
+    norms = np.empty(n_steps + 1)
     cont = np.empty(n_steps)
+    paths_x = np.empty((n_steps + 1, len(q)))
+    paths_sigma = np.empty_like(paths_x)
+
+    def frame(k, up, down):
+        """Record frame k's norm and tracked points; return its density."""
+        densities = _densities(up, down)
+        norms[k] = np.sum(densities[2]) * dx
+        if len(q):
+            paths_x[k], paths_sigma[k] = _quantile_map(grid, edges, dx, q,
+                                                       densities)
+        return densities[2]
 
     # A component zero at the start stays so (_cn_steps): None skips its diagnostics.
     live_up, live_down = field0.up.any(), field0.down.any()
     u0 = field0.up if live_up else None
     d0 = field0.down if live_down else None
-    rho[0], sig[0] = _frame_arrays(u0, d0)
-    for k, (up, down) in enumerate(_cn_steps(config, field0, n_steps)):
+    rho0 = frame(0, u0, d0)
+    for k, (up, down) in enumerate(_cn_steps(config, field0, n_steps), 1):
         u1, d1 = (up if live_up else None), (down if live_down else None)
-        rho[k + 1], sig[k + 1] = _frame_arrays(u1, d1)
-        cont[k] = _continuity_residual(config, u0, d0, u1, d1, rho[k], rho[k + 1])
-        u0, d0 = u1, d1
+        rho1 = frame(k, u1, d1)
+        cont[k - 1] = _continuity_residual(config, u0, d0, u1, d1, rho0, rho1)
+        u0, d0, rho0 = u1, d1, rho1
 
-    final = SpinorField(x=config.x, dx=config.dx, up=up, down=down, t=times[-1])
+    final = SpinorField(x=grid, dx=dx, up=up, down=down, t=times[-1])
     return EvolutionRecord(
-        config=config, times=times, rho=rho, sigma=sig,
-        norms=np.sum(rho, axis=1) * config.dx, continuity=cont,
-        initial=field0, final=final,
+        config=config, times=times, norms=norms, continuity=cont,
+        paths_x=paths_x, paths_sigma=paths_sigma, initial=field0, final=final,
     )
 
 
@@ -357,42 +427,18 @@ class EnsembleTrajectories:
     outcomes: np.ndarray
 
 
-def _edge_cdf(x, dx, rho):
-    """Cell edges and the normalized cumulative density at them."""
-    edges = np.concatenate(([x[0] - 0.5 * dx], x + 0.5 * dx))
-    cdf = np.concatenate(([0.0], np.cumsum(rho) * dx))
-    return edges, cdf / cdf[-1]
-
-
-def _quantile_map(record: EvolutionRecord, x0s, frames):
-    """Initial points and their positions x_t = F_t^-1(F_0(x0)) at the frames.
-
-    Returns the points as a 1-D array and one row of positions per frame.
-    """
-    x0 = np.array(x0s, dtype=float)
-    if x0.ndim != 1:
-        raise DomainError("initial positions must form a 1-D sequence")
-    lo, hi = record.config.x_min, record.config.x_max
-    if not np.all((lo <= x0) & (x0 <= hi)):  # NaN fails too
-        raise DomainError(f"initial positions must be finite and in [{lo}, {hi}]")
-    grid, dx = record.config.x, record.config.dx
-    edges, cdf = _edge_cdf(grid, dx, record.rho[0])
-    u = np.interp(x0, edges, cdf)
-    rows = []
-    for k in frames:
-        edges, cdf = _edge_cdf(grid, dx, record.rho[k])
-        rows.append(np.interp(u, cdf, edges))
-    return x0, np.array(rows)
-
-
 def integrate_ensemble(record: EvolutionRecord, x0s) -> EnsembleTrajectories:
     """Carry many initial points to the final time by the quantile map.
 
-    Only the first and the last frame are read; an outcome is the sign of the
+    Only the first and the last field are read; an outcome is the sign of the
     final local spin where it is resolved.
     """
-    x0, (final_x,) = _quantile_map(record, x0s, [-1])
-    final_sigma = np.interp(final_x, record.config.x, record.sigma[-1])
+    config, final = record.config, record.final
+    x0, q = _start_quantiles(config, record.initial, x0s)
+    grid, dx = config.x, config.dx
+    final_x, final_sigma = _quantile_map(
+        grid, _edges(grid, dx), dx, q, _densities(final.up, final.down)
+    )
     outcomes = np.zeros(x0.shape, dtype=int)
     resolved = np.isfinite(final_sigma) & (
         np.abs(final_sigma) > 1.0 - SIGMA_RESOLVED
@@ -404,24 +450,13 @@ def integrate_ensemble(record: EvolutionRecord, x0s) -> EnsembleTrajectories:
     )
 
 
-def trajectory_paths(record: EvolutionRecord, x0s):
-    """Positions and local spin of each point at every recorded frame.
-
-    Returns ``(xs, sigmas)``, both of shape (frames, points).
-    """
-    _, xs = _quantile_map(record, x0s, range(len(record.times)))
-    grid = record.config.x  # a property that builds the array on each access
-    sigmas = np.array([np.interp(x, grid, sig) for x, sig in zip(xs, record.sigma)])
-    return xs, sigmas
-
-
 def sample_initial(field0: SpinorField, n: int, seed: int) -> np.ndarray:
     """Inverse-CDF samples from |psi(0)|^2 using a seeded PCG64 stream."""
     if n < 1:
         raise DomainError(f"need at least one sample, got n={n}")
-    edges, cdf = _edge_cdf(field0.x, field0.dx, field0.rho())
+    cdf = _cdf(field0.rho(), field0.dx)
     rng = np.random.Generator(np.random.PCG64(seed))
-    return np.interp(rng.random(n), cdf, edges)
+    return np.interp(rng.random(n), cdf, _edges(field0.x, field0.dx))
 
 
 # ---------------------------------------------------------------------------
@@ -486,29 +521,30 @@ class EnsembleRun:
 
 
 def _run(config: SternGerlachConfig, field0: SpinorField, n: int, seed: int,
-         outcomes_of) -> EnsembleRun:
-    """Evolve, sample n initial points, carry them to the end and tally.
+         paths: int, outcomes_of) -> EnsembleRun:
+    """Sample n initial points, evolve with the first ``paths`` of them
+    tracked, carry all of them to the end and tally.
 
     ``outcomes_of`` maps the integrated ensemble to one OUTCOME_* per point.
     """
-    record = simulate(config, field0=field0)
     x0s = sample_initial(field0, n, seed)
+    record = simulate(config, field0=field0, points=x0s[:paths])
     ens = integrate_ensemble(record, x0s)
     return EnsembleRun(record=record, x0=ens.x0, final_x=ens.final_x,
                        stats=_stats_from_outcomes(outcomes_of(ens), seed))
 
 
 def run_ensemble(config: SternGerlachConfig, theta: float, n: int,
-                 seed: int) -> EnsembleRun:
+                 seed: int, paths: int = 0) -> EnsembleRun:
     """Spin analyzer: the outcome is the sign of the final local spin."""
-    return _run(config, prepare(config, theta), n, seed, lambda ens: ens.outcomes)
+    return _run(config, prepare(config, theta), n, seed, paths,
+                lambda ens: ens.outcomes)
 
 
 def ks_distance(samples: np.ndarray, field: SpinorField) -> float:
     """Kolmogorov-Smirnov distance of samples against the field's |psi|^2."""
-    edges, cdf = _edge_cdf(field.x, field.dx, field.rho())
     s = np.sort(np.asarray(samples, dtype=float))
-    model = np.interp(s, edges, cdf)
+    model = np.interp(s, _edges(field.x, field.dx), _cdf(field.rho(), field.dx))
     n = len(s)
     empirical_hi = np.arange(1, n + 1) / n
     empirical_lo = np.arange(0, n) / n
@@ -568,7 +604,8 @@ def prepare_beam_splitter(config: SternGerlachConfig, prep: str) -> SpinorField:
     )
 
 
-def beam_splitter_scene(prep: str, n: int, seed: int) -> EnsembleRun:
+def beam_splitter_scene(prep: str, n: int, seed: int,
+                        paths: int = 0) -> EnsembleRun:
     """Run one preparation through the crossing region and classify exits.
 
     Gate 3 (+) is the +x side of the barrier and gate 4 (-) the -x side, read
@@ -581,13 +618,14 @@ def beam_splitter_scene(prep: str, n: int, seed: int) -> EnsembleRun:
         outcomes[np.abs(ens.final_x) <= 2.0 * BARRIER_WIDTH] = OUTCOME_UNRESOLVED
         return outcomes
 
-    return _run(config, prepare_beam_splitter(config, prep), n, seed, gates)
+    return _run(config, prepare_beam_splitter(config, prep), n, seed, paths,
+                gates)
 
 
 def transmitted_mass(record: EvolutionRecord) -> float:
     """Fraction of the final density on the +x side (calibration helper)."""
     x = record.config.x
-    return float(np.sum(record.rho[-1][x > 0]) * record.config.dx)
+    return float(np.sum(record.final.rho()[x > 0]) * record.config.dx)
 
 
 # ---------------------------------------------------------------------------

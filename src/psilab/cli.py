@@ -316,14 +316,20 @@ def _check_ensemble_args(ns) -> None:
         raise UsageError("n must be at least 1")
     if ns.paths < 0:
         raise UsageError(f"paths must be at least 0, got {ns.paths}")
+    if (ns.csv or ns.svg) and ns.paths > ns.n:
+        raise UsageError(f"paths must be at most n = {ns.n}, got {ns.paths}")
 
 
-def _write_paths(ns, out, stem, title, run: bohm.EnsembleRun) -> None:
-    """CSV and/or SVG of the first ``ns.paths`` trajectories, as requested."""
-    if not (ns.csv or ns.svg) or ns.paths < 1:
+def _kept_paths(ns) -> int:
+    """How many of the sampled points the run tracks for the CSV/SVG."""
+    return ns.paths if (ns.csv or ns.svg) else 0
+
+
+def _write_paths(ns, out, stem, title, record: bohm.EvolutionRecord) -> None:
+    """CSV and/or SVG of the tracked trajectories, as requested."""
+    times, xs, sigmas = record.times, record.paths_x, record.paths_sigma
+    if not xs.shape[1]:
         return
-    times = run.record.times
-    xs, sigmas = bohm.trajectory_paths(run.record, run.x0[: ns.paths])
     if ns.csv:
         _write(out, f"{stem}_trajectories.csv",
                bohm.trajectories_to_csv(times, xs, sigmas))
@@ -343,7 +349,7 @@ def _run_bohm_sg(ns) -> int:
         )
     except bohm.ConfigError as exc:
         raise UsageError(str(exc)) from exc
-    run = bohm.run_ensemble(cfg, ns.theta, ns.n, ns.seed)
+    run = bohm.run_ensemble(cfg, ns.theta, ns.n, ns.seed, _kept_paths(ns))
     params = {
         "scenario": "bohm-sg", "theta": ns.theta, "n": ns.n, "seed": ns.seed,
         "cells": ns.cells, "dt": ns.dt, "t_final": ns.t_final, "b1": ns.b1,
@@ -358,7 +364,7 @@ def _run_bohm_sg(ns) -> int:
         "max_continuity_residual": float(np.max(run.record.continuity)),
     }
     _emit_json(out, "bohm_sg.json", payload)
-    _write_paths(ns, out, "bohm_sg", "analyzer trajectories", run)
+    _write_paths(ns, out, "bohm_sg", "analyzer trajectories", run.record)
     return 0 if run.stats.valid else 1
 
 
@@ -374,7 +380,7 @@ def _parser_bohm_bs() -> argparse.ArgumentParser:
 def _run_bohm_bs(ns) -> int:
     out = _out_dir(ns)
     _check_ensemble_args(ns)
-    run = bohm.beam_splitter_scene(ns.prep, ns.n, ns.seed)
+    run = bohm.beam_splitter_scene(ns.prep, ns.n, ns.seed, _kept_paths(ns))
     stats = run.stats
     params = {
         "scenario": "bohm-bs", "prep": ns.prep, "n": ns.n, "seed": ns.seed,
@@ -392,7 +398,7 @@ def _run_bohm_bs(ns) -> int:
         "valid": stats.valid,
     }
     _emit_json(out, "bohm_bs.json", payload)
-    _write_paths(ns, out, "bohm_bs", "beam-splitter trajectories", run)
+    _write_paths(ns, out, "bohm_bs", "beam-splitter trajectories", run.record)
     return 0 if stats.valid else 1
 
 

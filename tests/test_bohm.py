@@ -65,7 +65,7 @@ class TestEvolution:
             x_min=-20.0, x_max=20.0, cells=4096, dt=1e-3, t_final=2.0, mu=0.0
         )
         rec = bohm.simulate(cfg, theta=0.0)
-        sig, _ = packet_sigma(rec.rho[-1], cfg.x, cfg.dx)
+        sig, _ = packet_sigma(rec.final.rho(), cfg.x, cfg.dx)
         sig_exact = cfg.packet_sigma * np.sqrt(
             1.0 + (cfg.hbar * cfg.t_final / (2.0 * cfg.mass * cfg.packet_sigma**2)) ** 2
         )
@@ -151,21 +151,56 @@ def reference_diagnostics(config, field0):
     return rho, np.array(sigs), np.sum(rho, axis=1) * dx, np.array(cont)
 
 
+def reference_paths(config, rho, sigma, x0):
+    """The quantile map over a full per-frame history: (frames, points)
+    positions F_t^-1(F_0(x0)) and the local spin interpolated there."""
+    edges = np.concatenate(([config.x[0] - 0.5 * config.dx],
+                            config.x + 0.5 * config.dx))
+
+    def cdf(r):
+        c = np.concatenate(([0.0], np.cumsum(r) * config.dx))
+        return c / c[-1]
+
+    u = np.interp(x0, edges, cdf(rho[0]))
+    xs = np.array([np.interp(u, cdf(r), edges) for r in rho])
+    sigmas = np.array([np.interp(x, config.x, s) for x, s in zip(xs, sigma)])
+    return xs, sigmas
+
+
 class TestStepper:
-    @pytest.mark.parametrize("dead", ["down", "up"])
+    @pytest.mark.parametrize("dead", ["down", "up", "none"])
     def test_zero_component_diagnostics_match_reference(self, dead):
-        """simulate skips the density and current of a zero component; the
-        record equals the one that evaluates them."""
+        """The streamed record equals the full per-frame history reduced
+        afterwards, with a zero component's density and current skipped
+        (``dead``) or both components live at theta = pi/2."""
         cfg = bohm.SternGerlachConfig(t_final=0.3)
-        packet = bohm.prepare(cfg, 0.0).up
-        zero = np.zeros_like(packet)
-        up, down = (packet, zero) if dead == "down" else (zero, packet)
-        field0 = bohm.SpinorField(x=cfg.x, dx=cfg.dx, up=up, down=down)
-        rec = bohm.simulate(cfg, field0=field0)
-        got = (rec.rho, rec.sigma, rec.norms, rec.continuity)
-        for a, b in zip(got, reference_diagnostics(cfg, field0)):
+        field0 = bohm.prepare(cfg, np.pi / 2)
+        if dead != "none":
+            packet = bohm.prepare(cfg, 0.0).up
+            zero = np.zeros_like(packet)
+            up, down = (packet, zero) if dead == "down" else (zero, packet)
+            field0 = bohm.SpinorField(x=cfg.x, dx=cfg.dx, up=up, down=down)
+        x0 = bohm.sample_initial(field0, 8, seed=4)
+        rec = bohm.simulate(cfg, field0=field0, points=x0)
+        rho, sigma, norms, continuity = reference_diagnostics(cfg, field0)
+        xs, sigmas = reference_paths(cfg, rho, sigma, x0)
+        got = (rec.norms, rec.continuity, rec.paths_x, rec.paths_sigma)
+        for a, b in zip(got, (norms, continuity, xs, sigmas)):
             assert np.array_equal(a, b, equal_nan=True)
-        assert not getattr(rec.final, dead).any()
+        assert rec.paths_x.shape == (cfg.n_steps + 1, 8)
+        if dead != "none":
+            assert not getattr(rec.final, dead).any()
+
+    def test_record_keeps_no_frame_history(self, record_half):
+        """Without tracked points the record holds O(cells + steps) bytes
+        (0.22 MB at the default grid), not a (frames, cells) array."""
+        nbytes = sum(
+            v.nbytes
+            for obj in (record_half, record_half.initial, record_half.final)
+            for v in vars(obj).values() if isinstance(v, np.ndarray)
+        )
+        assert nbytes < 1e6
+        assert record_half.paths_x.shape == (len(record_half.times), 0)
 
     @pytest.mark.parametrize("scene,field_on,component", [
         ("sg", True, 0), ("sg", True, 1), ("sg", False, 0), ("bs", False, 0),
@@ -207,6 +242,11 @@ class TestStepper:
             bohm.simulate(bohm.SternGerlachConfig(t_final=0.01), 0.0)
 
 
+def local_spin(field):
+    """The local spin the record's paths and ensembles read off a field."""
+    return bohm._local_spin(*bohm._densities(field.up, field.down))
+
+
 def cell_current(field, cfg):
     """The stepper's edge current averaged onto the cell centers."""
     j = bohm._edge_current(field.up, field.down, cfg.dx, cfg.hbar, cfg.mass)
@@ -240,7 +280,8 @@ class TestDerivedFields:
         f_mov = bohm.prepare(cfg, 0.0)
         v_mov = cell_current(f_mov, cfg) / f_mov.rho()
         assert np.interp(0.0, cfg.x, v_mov) == pytest.approx(2.0, abs=1e-3)
-        assert np.isnan(np.interp(30.0, default_config.x, record_half.sigma[0]))
+        assert np.isnan(np.interp(30.0, default_config.x,
+                                  local_spin(record_half.initial)))
 
     def test_velocity_against_phase_gradient(self):
         """Two-packet interference region versus an unwrapped-phase oracle."""
@@ -259,11 +300,12 @@ class TestDerivedFields:
     def test_spin_projection(self, default_config, record_half):
         """The recorded local spin (|up|^2 - |down|^2) / rho."""
         f_up = bohm.prepare(default_config, 0.0)
-        _, sig_up = bohm._frame_arrays(f_up.up, f_up.down)
+        sig_up = local_spin(f_up)
         assert np.interp(0.7, default_config.x, sig_up) == pytest.approx(1.0)
-        assert abs(np.interp(0.2, default_config.x, record_half.sigma[0])) < 1e-12
+        initial = local_spin(record_half.initial)
+        assert abs(np.interp(0.2, default_config.x, initial)) < 1e-12
         # After separation the upper packet carries Sigma = +1.
-        final = record_half.sigma[-1]
+        final = local_spin(record_half.final)
         assert np.interp(10.0, default_config.x, final) > 1.0 - 1e-2
         assert np.interp(-10.0, default_config.x, final) < -1.0 + 1e-2
 
@@ -331,10 +373,10 @@ class TestTrajectories:
         fine = bohm.integrate_ensemble(rec_fine, xs)
         assert np.max(np.abs(coarse.final_x - fine.final_x)) < 1e-3
 
-    def test_single_trajectory_wrapper(self, record_half):
-        times = record_half.times
-        xs, sigmas = bohm.trajectory_paths(record_half, [1.0])
-        ens = bohm.integrate_ensemble(record_half, [1.0])
+    def test_single_trajectory_wrapper(self, default_config):
+        rec = bohm.simulate(default_config, theta=np.pi / 2, points=[1.0])
+        times, xs, sigmas = rec.times, rec.paths_x, rec.paths_sigma
+        ens = bohm.integrate_ensemble(rec, [1.0])
         assert ens.outcomes[0] == bohm.OUTCOME_PLUS
         assert xs.shape == sigmas.shape == (len(times), 1)
         assert abs(sigmas[-1, 0] - 1.0) < 1e-2
@@ -347,8 +389,9 @@ def quantile_oracle(record, x0):
     """How many points have F_0(x0) above the final mass on the x < 0 side."""
     cfg = record.config
     edges = cfg.x_min + cfg.dx * np.arange(cfg.cells + 1)
-    f0 = np.concatenate(([0.0], np.cumsum(record.rho[0]))) / np.sum(record.rho[0])
-    m_minus = np.sum(record.rho[-1][cfg.x < 0]) / np.sum(record.rho[-1])
+    rho0, rho_t = record.initial.rho(), record.final.rho()
+    f0 = np.concatenate(([0.0], np.cumsum(rho0))) / np.sum(rho0)
+    m_minus = np.sum(rho_t[cfg.x < 0]) / np.sum(rho_t)
     return int(np.sum(np.interp(x0, edges, f0) > m_minus))
 
 
@@ -375,9 +418,10 @@ class TestQuantileOracle:
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-35.0, 35.0), min_size=1, max_size=40))
-def test_quantile_map_keeps_order(record_half, x0):
-    ens = bohm.integrate_ensemble(record_half, x0)
-    xs, sigmas = bohm.trajectory_paths(record_half, x0)
+def test_quantile_map_keeps_order(default_config, x0):
+    rec = bohm.simulate(default_config, theta=np.pi / 2, points=x0)
+    ens = bohm.integrate_ensemble(rec, x0)
+    xs, sigmas = rec.paths_x, rec.paths_sigma
     order = np.argsort(x0, kind="stable")
     assert np.all(np.diff(ens.final_x[order]) >= 0)
     assert np.all(np.diff(xs[:, order], axis=1) >= 0)
@@ -388,10 +432,20 @@ def test_quantile_map_keeps_order(record_half, x0):
 @pytest.mark.parametrize("x0", [[100.0], [0.0, -35.5], [np.nan], [np.inf],
                                 [[0.0, 1.0]]],
                          ids=["beyond_wall", "below_x_min", "nan", "inf", "2d"])
-@pytest.mark.parametrize("carry", [bohm.integrate_ensemble, bohm.trajectory_paths])
-def test_initial_points_outside_the_grid_rejected(record_half, carry, x0):
+@pytest.mark.parametrize("carry", ["integrate_ensemble", "simulate"])
+def test_initial_points_outside_the_grid_rejected(record_half, monkeypatch,
+                                                  carry, x0):
+    if carry == "integrate_ensemble":
+        with pytest.raises(DomainError):
+            bohm.integrate_ensemble(record_half, x0)
+        return
+
+    def no_step(*args):
+        raise AssertionError("stepped before the points were checked")
+
+    monkeypatch.setattr(bohm, "_cn_steps", no_step)
     with pytest.raises(DomainError):
-        carry(record_half, x0)
+        bohm.simulate(record_half.config, np.pi / 2, points=x0)
 
 
 class TestEnsemble:
@@ -554,8 +608,8 @@ class TestArtifactFormatting:
         assert got == reference_trajectories_csv(times, xs, sigmas)
         assert "\n11,0.4," in got and ",nan\n" in got
         x0 = bohm.sample_initial(record_half.initial, 12, seed=3)
-        xs, sigmas = bohm.trajectory_paths(record_half, x0)
-        times = record_half.times
+        rec = bohm.simulate(record_half.config, np.pi / 2, points=x0)
+        times, xs, sigmas = rec.times, rec.paths_x, rec.paths_sigma
         assert (bohm.trajectories_to_csv(times, xs, sigmas)
                 == reference_trajectories_csv(times, xs, sigmas))
 

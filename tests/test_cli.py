@@ -144,6 +144,11 @@ class TestBohmSg:
                     "--csv", "--svg", "--paths", "0"]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bohm_sg.json"]
 
+    def test_paths_beyond_n_ignored_without_artifacts(self, tmp_path):
+        assert run(["bohm-sg", *self.ARGS, "--n", "10", "--paths", "24",
+                    "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bohm_sg.json"]
+
     def test_env_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PSILAB_OUT", str(tmp_path / "env"))
         assert run(["bohm-sg", *self.ARGS]) == 0
@@ -154,6 +159,8 @@ class TestBohmSg:
     ["bohm-sg", "--t-final", "0.0001"],  # rounds to zero steps of dt = 1e-3
     ["bohm-sg", "--paths", "-3", "--csv"],
     ["bohm-bs", "--paths", "-3", "--csv"],
+    ["bohm-sg", "--n", "5", "--paths", "6", "--csv"],  # more paths than points
+    ["bohm-bs", "--n", "5", "--paths", "6", "--svg"],
 ])
 def test_bohm_outside_domain_is_usage_error(tmp_path, capsys, args):
     assert run([*args, "--out", str(tmp_path)]) == 2

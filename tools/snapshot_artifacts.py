@@ -18,6 +18,9 @@ CASES = {
                            "--csv", "--svg"]
        for prep in ("psi1", "psi2", "plus", "minus")},
     "bohm-sg": ["bohm-sg", "--n", "10000", "--csv", "--svg"],
+    # The benchmark's sg_analyzer run: no point tracked, so the local spin
+    # is computed for the last frame only.
+    "bohm-sg-json": ["bohm-sg", "--n", "10000"],
     # The one CLI run whose down component is exactly zero (at theta = pi,
     # up is 6e-17 times the packet, not zero).
     "bohm-sg-theta0": ["bohm-sg", "--theta", "0", "--n", "2000",

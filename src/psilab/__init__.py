@@ -17,7 +17,6 @@ from .nogo import (
     ContradictionCertificate,
     NoContradiction,
     analytic_contradiction,
-    construct_disjoint_model,
     contextual_escape,
     determinism_check,
     lp_feasibility,
@@ -44,6 +43,6 @@ __all__ = [
     "pbr_basis_2qubit", "pbr_basis_n", "coefficient_table",
     "LambdaSpace", "PreparationDensity", "OntModel", "PsiClass", "classify",
     "zero_constraints", "analytic_contradiction", "lp_feasibility",
-    "pbr_scene_problem", "construct_disjoint_model", "contextual_escape",
+    "pbr_scene_problem", "contextual_escape",
     "determinism_check", "ContradictionCertificate", "NoContradiction",
 ]

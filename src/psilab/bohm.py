@@ -1,11 +1,16 @@
 """One-dimensional spinor wave-packet laboratory with guidance trajectories.
 
 A two-component wave function evolves under a pair of decoupled Schrodinger
-equations whose potentials are +/- mu*(b0 + b1*x) inside a time window
-(the magnetic-gradient stage of a spin analyzer), plus an optional static
+equations whose potentials are +/- b1*x while t < FIELD_OFF (the
+magnetic-gradient stage of a spin analyzer), plus an optional static
 potential shared by both components (used for the beam-splitter barrier).
 Particle positions are carried by the probability current, so each run is a
 deterministic map from the initial position x0 to a measurement outcome.
+
+Units: hbar = m = mu = 1 (mu the magnetic moment), so the up component feels
+the force -b1 and the down component +b1, and lengths are in units of
+PACKET_SIGMA, the width of the packet at rest centred at 0 that ``prepare``
+builds.  Every evolution starts at t = 0.
 
 Numerics: Crank-Nicolson stepping per component on a uniform grid with
 hard-wall boundaries (norm-preserving by construction); the tridiagonal
@@ -56,6 +61,11 @@ NODE_EPS_FACTOR = 1e-12
 # |Sigma| must exceed 1 - SIGMA_RESOLVED at the final time to call an outcome.
 SIGMA_RESOLVED = 1e-2
 
+# The gradient acts while the step midpoint (n + 1/2) dt is below FIELD_OFF.
+FIELD_OFF = 1.0
+# Width of the Gaussian packet that ``prepare`` builds.
+PACKET_SIGMA = 1.0
+
 OUTCOME_PLUS = 1
 OUTCOME_MINUS = -1
 OUTCOME_UNRESOLVED = 0
@@ -71,23 +81,14 @@ class ConfigError(BohmError):
 
 @dataclass(frozen=True)
 class SternGerlachConfig:
-    """Grid, stepping, and field-profile parameters for one simulation."""
+    """Grid, stepping, and field parameters for one simulation."""
 
     x_min: float = -35.0
     x_max: float = 35.0
     cells: int = 1792
     dt: float = 1e-3
     t_final: float = 3.0
-    hbar: float = 1.0
-    mass: float = 1.0
-    mu: float = 1.0
-    b0: float = 0.0
     b1: float = -4.0
-    t_on: float = 0.0
-    t_off: float = 1.0
-    packet_x0: float = 0.0
-    packet_sigma: float = 1.0
-    packet_k0: float = 0.0
     static_potential: np.ndarray | None = None
 
     def __post_init__(self):
@@ -101,10 +102,6 @@ class SternGerlachConfig:
             raise ConfigError(
                 f"t_final / dt = {self.t_final / self.dt:.3g} rounds to zero steps"
             )
-        if self.t_on >= self.t_off:
-            raise ConfigError("field window requires t_on < t_off")
-        if self.packet_sigma <= 0:
-            raise ConfigError("packet width must be positive")
         if self.static_potential is not None:
             v = np.asarray(self.static_potential, dtype=float)
             if v.shape != (self.cells,):
@@ -113,12 +110,12 @@ class SternGerlachConfig:
         # Accuracy guards for the implicit stepper (which is unconditionally
         # stable): reject grossly under-resolved stepping in space or in the
         # potential phase per step.
-        if self.dt * self.hbar / (self.mass * self.dx**2) > 16.0:
+        if self.dt / self.dx**2 > 16.0:
             raise ConfigError("dt too large for this grid spacing")
-        v_mag = self.mu * np.max(np.abs(self.b0 + self.b1 * self.x))
+        v_mag = np.max(np.abs(self.b1 * self.x))
         if self.static_potential is not None:
             v_mag = max(v_mag, float(np.max(np.abs(self.static_potential))))
-        if self.dt * v_mag / self.hbar > 0.5:
+        if self.dt * v_mag > 0.5:
             raise ConfigError("dt too large for this potential strength")
 
     @property
@@ -143,7 +140,6 @@ class SpinorField:
     dx: float
     up: np.ndarray
     down: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self):
         up = np.asarray(self.up, dtype=complex)
@@ -170,18 +166,16 @@ def gaussian_packet(x, dx, x0, sigma, k0) -> np.ndarray:
 
 
 def prepare(config: SternGerlachConfig, theta: float) -> SpinorField:
-    """Gaussian packet carrying the spinor cos(theta/2)*up + sin(theta/2)*down."""
+    """Packet at rest at x = 0, width PACKET_SIGMA, carrying the spinor
+    cos(theta/2)*up + sin(theta/2)*down."""
     if not 0.0 <= theta <= np.pi:
         raise DomainError(f"preparation angle must lie in [0, pi], got {theta!r}")
-    packet = gaussian_packet(
-        config.x, config.dx, config.packet_x0, config.packet_sigma, config.packet_k0
-    )
+    packet = gaussian_packet(config.x, config.dx, 0.0, PACKET_SIGMA, 0.0)
     return SpinorField(
         x=config.x,
         dx=config.dx,
         up=np.cos(theta / 2.0) * packet,
         down=np.sin(theta / 2.0) * packet,
-        t=0.0,
     )
 
 
@@ -193,14 +187,14 @@ def prepare(config: SternGerlachConfig, theta: float) -> SpinorField:
 def _stepper(config: SternGerlachConfig, potential: np.ndarray):
     """Factor the tridiagonal LHS once; return the one-step propagator.
 
-    The LHS 1 + i dt H / (2 hbar) is LU-factored by ``zgttrf`` here, and each
-    step applies the RHS 1 - i dt H / (2 hbar) and solves on the stored
-    factors with ``zgttrs``.
+    The LHS 1 + i dt H / 2 is LU-factored by ``zgttrf`` here, and each step
+    applies the RHS 1 - i dt H / 2 and solves on the stored factors with
+    ``zgttrs``.
     """
-    kin = config.hbar**2 / (2.0 * config.mass * config.dx**2)
+    kin = 1.0 / (2.0 * config.dx**2)
     h_off = -kin
     h_diag = 2.0 * kin + potential
-    z = 1j * config.dt / (2.0 * config.hbar)
+    z = 1j * config.dt / 2.0
     lhs_off = np.full(config.cells - 1, z * h_off)
     dl, d, du, du2, ipiv, info = zgttrf(lhs_off, 1.0 + z * h_diag, lhs_off)
     if info != 0:
@@ -223,7 +217,7 @@ def _component_potentials(config: SternGerlachConfig, field_on: bool):
         base = base + config.static_potential
     if not field_on:
         return base, base
-    mag = config.mu * (config.b0 + config.b1 * config.x)
+    mag = config.b1 * config.x
     return base + mag, base - mag
 
 
@@ -237,8 +231,7 @@ def _cn_steps(config: SternGerlachConfig, field0: SpinorField, steps: int):
     live_up, live_down = up.any(), down.any()
     steppers = {}
     for n in range(steps):
-        t_mid = field0.t + (n + 0.5) * config.dt
-        on = config.t_on <= t_mid < config.t_off
+        on = (n + 0.5) * config.dt < FIELD_OFF
         if on not in steppers:
             v_up, v_down = _component_potentials(config, on)
             s_up = _stepper(config, v_up)
@@ -255,17 +248,17 @@ def _cn_steps(config: SternGerlachConfig, field0: SpinorField, steps: int):
 # ---------------------------------------------------------------------------
 
 
-def _edge_current(up, down, dx: float, hbar: float, mass: float) -> np.ndarray:
+def _edge_current(up, down, dx: float) -> np.ndarray:
     """Current through the cells + 1 edges, summed over components.
 
-    Interior edge k + 1/2 carries (hbar / (mass dx)) Im(conj(psi_k) psi_k+1);
+    Interior edge k + 1/2 carries Im(conj(psi_k) psi_k+1) / dx;
     the hard walls and a component given as None (identically zero) carry none.
     """
     j = np.zeros(len(up if down is None else down) + 1)
     for a in (up, down):
         if a is not None:
             j[1:-1] += np.imag(np.conj(a[:-1]) * a[1:])
-    return (hbar / (mass * dx)) * j
+    return (1.0 / dx) * j
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +313,7 @@ def _continuity_residual(config, up0, down0, up1, down1, rho0, rho1):
     """
     j = _edge_current(None if up0 is None else 0.5 * (up0 + up1),
                       None if down0 is None else 0.5 * (down0 + down1),
-                      config.dx, config.hbar, config.mass)
+                      config.dx)
     div = np.diff(j) / config.dx
     return float(np.max(np.abs((rho1 - rho0) / config.dt + div)))
 
@@ -378,7 +371,7 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
     _, q = _start_quantiles(config, field0, points)
     grid, dx, n_steps = config.x, config.dx, config.n_steps
     edges = _edges(grid, dx)
-    times = field0.t + config.dt * np.arange(n_steps + 1)
+    times = config.dt * np.arange(n_steps + 1)
     norms = np.empty(n_steps + 1)
     cont = np.empty(n_steps)
     paths_x = np.empty((n_steps + 1, len(q)))
@@ -404,7 +397,7 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
         cont[k - 1] = _continuity_residual(config, u0, d0, u1, d1, rho0, rho1)
         u0, d0, rho0 = u1, d1, rho1
 
-    final = SpinorField(x=grid, dx=dx, up=up, down=down, t=times[-1])
+    final = SpinorField(x=grid, dx=dx, up=up, down=down)
     return EvolutionRecord(
         config=config, times=times, norms=norms, continuity=cont,
         paths_x=paths_x, paths_sigma=paths_sigma, initial=field0, final=final,
@@ -526,7 +519,10 @@ def _run(config: SternGerlachConfig, field0: SpinorField, n: int, seed: int,
     tracked, carry all of them to the end and tally.
 
     ``outcomes_of`` maps the integrated ensemble to one OUTCOME_* per point.
+    DomainError for ``paths`` outside [0, n], before anything is sampled.
     """
+    if not 0 <= paths <= n:
+        raise DomainError(f"paths must lie in [0, n = {n}], got {paths}")
     x0s = sample_initial(field0, n, seed)
     record = simulate(config, field0=field0, points=x0s[:paths])
     ens = integrate_ensemble(record, x0s)
@@ -574,8 +570,7 @@ def beam_splitter_config() -> SternGerlachConfig:
     barrier = BARRIER_HEIGHT * np.exp(-(x**2) / (2.0 * BARRIER_WIDTH**2))
     return SternGerlachConfig(
         x_min=-20.0, x_max=20.0, cells=cells, dt=1e-3, t_final=4.0,
-        mu=0.0, t_on=0.0, t_off=1e-6,
-        static_potential=barrier,
+        b1=0.0, static_potential=barrier,
     )
 
 
@@ -599,9 +594,7 @@ def prepare_beam_splitter(config: SternGerlachConfig, prep: str) -> SpinorField:
     else:
         amp = (p1 - 1j * p2) / np.sqrt(2.0)
     amp = amp / np.sqrt(np.sum(np.abs(amp) ** 2) * config.dx)
-    return SpinorField(
-        x=config.x, dx=config.dx, up=amp, down=np.zeros_like(amp), t=0.0
-    )
+    return SpinorField(x=config.x, dx=config.dx, up=amp, down=np.zeros_like(amp))
 
 
 def beam_splitter_scene(prep: str, n: int, seed: int,

@@ -3,8 +3,9 @@
 Extracts zero-probability constraints from product states and a measurement
 basis, derives the support-disjointness contradiction analytically, decides
 existence of preparation-independent response functions by linear
-feasibility, and constructs both the disjoint-support model and the
-contextual (preparation-conditioned) escape.
+feasibility, and constructs the contextual (preparation-conditioned) escape.
+A psi-ontic model with disjoint supports needs no construction here: the
+witness of a FEASIBLE verdict on disjoint supports is its response.
 """
 
 from __future__ import annotations
@@ -314,34 +315,8 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
 
 
 # ---------------------------------------------------------------------------
-# Model constructions
+# Contextual escapes
 # ---------------------------------------------------------------------------
-
-
-def construct_disjoint_model(
-    psi1: qcore.QState,
-    psi2: qcore.QState,
-    basis: qcore.MeasurementBasis,
-) -> ont.OntModel:
-    """Lambda in bijection with the prepared state: deltas on two cells.
-
-    The universal response simply stores the Born matrix, so all product
-    probabilities are reproduced exactly while the supports stay disjoint.
-    """
-    if basis.dims != psi1.dims + psi2.dims:
-        raise qcore.DimensionMismatch("basis does not match the product space")
-    space = ont.LambdaSpace(weights=np.ones(2))
-    preps = {
-        "psi1": ont.delta_density(space, "psi1", 0),
-        "psi2": ont.delta_density(space, "psi2", 1),
-    }
-    table = np.empty((len(basis), 2, 2))
-    for (i, (j, k)), p in _born_values((psi1, psi2), basis, 2).items():
-        table[i, j, k] = p
-    resp = ont.UniversalResponse(
-        tuple(f"phi_{i + 1}" for i in range(len(basis))), table
-    )
-    return ont.OntModel(space, preps, resp, product_arity=2)
 
 
 SQO_CONTEXT = "pm"

@@ -11,7 +11,7 @@ check is an exact finite computation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -107,11 +107,6 @@ def uniform_density(space: LambdaSpace, label: str, cells) -> PreparationDensity
     return PreparationDensity(space, label, v)
 
 
-def delta_density(space: LambdaSpace, label: str, cell: int) -> PreparationDensity:
-    """Density concentrated on one cell: the uniform density on ``[cell]``."""
-    return uniform_density(space, label, [cell])
-
-
 def _check_response_table(table: np.ndarray, what: str):
     if np.any(table < -RESPONSE_TOL) or np.any(table > 1.0 + RESPONSE_TOL):
         raise OntologyError(f"{what}: entries outside [0, 1]")
@@ -149,7 +144,7 @@ class ContextualResponse:
     """
 
     outcomes: tuple[str, ...]
-    tables: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+    tables: dict[tuple[str, str], np.ndarray]
 
     def __post_init__(self):
         checked = {}
@@ -219,38 +214,15 @@ def predict(model: OntModel, prep_label: str, context: str, outcome: str) -> flo
     if context != resp.context:
         raise UnknownLabel(f"unknown context {context!r}")
     if resp.arity != 1:
-        raise OntologyError("use predict_product for multi-system responses")
+        raise OntologyError(
+            f"predict is single-system; the response has arity {resp.arity}")
     return float(np.sum(resp.table[idx] * rho_w))
 
 
-def predict_product(model: OntModel, labels, outcome_index: int = 0) -> float:
-    """Joint-preparation probability under a universal multi-lambda response.
-
-    ``labels`` selects one preparation per tensor factor; the response table
-    is contracted against the product of the corresponding weighted densities.
-    """
-    resp = model.response
-    if not isinstance(resp, UniversalResponse):
-        raise OntologyError("predict_product requires a universal response")
-    labels = tuple(labels)
-    if len(labels) != model.product_arity:
-        raise OntologyError(
-            f"expected {model.product_arity} labels, got {len(labels)}"
-        )
-    acc = resp.table[outcome_index]
-    # Contract trailing lambda axes one by one against weighted densities.
-    for label in reversed(labels):
-        rho_w = model.density(label).values * model.space.weights
-        acc = acc @ rho_w
-    return float(acc)
-
-
-def support(density: PreparationDensity, eps: float | None = None) -> np.ndarray:
-    """Indices of cells whose density exceeds the cutoff."""
-    if eps is None:
-        eps = SUPPORT_EPS_FACTOR * float(np.max(density.values))
-    if eps < 0:
-        raise OntologyError("support threshold must be nonnegative")
+def support(density: PreparationDensity) -> np.ndarray:
+    """Indices of cells whose density exceeds SUPPORT_EPS_FACTOR times its
+    maximum."""
+    eps = SUPPORT_EPS_FACTOR * float(np.max(density.values))
     return np.flatnonzero(density.values > eps)
 
 
@@ -376,36 +348,9 @@ def model_to_dict(model: OntModel) -> dict:
     return d
 
 
-def model_from_dict(d: dict) -> OntModel:
-    sp = d["space"]
-    space = LambdaSpace(
-        weights=np.array(sp["weights"]),
-        coords=None if sp["coords"] is None else np.array(sp["coords"]),
-    )
-    preparations = {
-        label: PreparationDensity(space, label, np.array(vals))
-        for label, vals in d["preparations"].items()
-    }
-    r = d["response"]
-    if r["variant"] == "universal":
-        response = UniversalResponse(
-            tuple(r["outcomes"]), np.array(r["table"]), r["context"]
-        )
-    else:
-        response = ContextualResponse(
-            tuple(r["outcomes"]),
-            {(e["prep"], e["context"]): np.array(e["table"]) for e in r["tables"]},
-        )
-    return OntModel(space, preparations, response, d["product_arity"])
-
-
 def model_to_json(model: OntModel) -> str:
     # json round-trips Python floats exactly (shortest-repr serialization).
     return json.dumps(model_to_dict(model), sort_keys=True)
-
-
-def model_from_json(text: str) -> OntModel:
-    return model_from_dict(json.loads(text))
 
 
 def enumerate_support_patterns(max_cells: int):

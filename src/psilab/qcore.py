@@ -155,11 +155,6 @@ class MeasurementBasis:
         return len(self.vectors)
 
 
-def computational_basis(dims: int) -> MeasurementBasis:
-    eye = np.eye(2**dims, dtype=complex)
-    return MeasurementBasis(dims, tuple(QState(dims, row) for row in eye))
-
-
 def pbr_basis_2qubit() -> MeasurementBasis:
     """The fixed entangled 2-qubit basis of the product-state no-go argument.
 

@@ -1,8 +1,8 @@
 """Minimal SVG line plots (no external plotting dependency).
 
-Renders bundles of (x, y) series as polylines inside a fixed viewport with
-a light frame and tick labels — enough to eyeball trajectory bundles and
-density profiles emitted by the command-line runner.
+Renders bundles of (t, x) series as polylines inside a fixed viewport with
+a light frame, axis labels and tick labels — enough to eyeball the
+trajectory bundles emitted by the command-line runner.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ def _fmt(v: float) -> str:
     return "%.6g" % v
 
 
-def render_lines(series, title: str = "", x_label: str = "",
-                 y_label: str = "") -> str:
-    """Render a list of (xs, ys) pairs as an SVG document string."""
+def render_lines(series, title: str) -> str:
+    """Render a list of (t, x) pairs as an SVG document string."""
     if not series:
         raise ValueError("nothing to plot")
     xs_all = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
@@ -52,22 +51,15 @@ def render_lines(series, title: str = "", x_label: str = "",
         f'<rect x="{margin}" y="{margin}" width="{inner_w}" height="{inner_h}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2}" y="{margin / 2 + 5}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
-    if x_label:
-        parts.append(
-            f'<text x="{width / 2}" y="{height - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{x_label}</text>'
-        )
-    if y_label:
-        parts.append(
-            f'<text x="14" y="{height / 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {height / 2})">{y_label}</text>'
-        )
+    parts += [
+        f'<text x="{width / 2}" y="{margin / 2 + 5}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'<text x="{width / 2}" y="{height - 10}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="12">t</text>',
+        f'<text x="14" y="{height / 2}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 14 {height / 2})">x</text>',
+    ]
     # Corner tick labels.
     for (vx, vy), anchor, label in (
         ((x_lo, y_lo), "start", None),

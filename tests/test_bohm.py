@@ -33,13 +33,11 @@ class TestConfig:
         with pytest.raises(bohm.ConfigError):
             bohm.SternGerlachConfig(dt=-1.0)
         with pytest.raises(bohm.ConfigError):
-            bohm.SternGerlachConfig(t_on=2.0, t_off=1.0)
-        with pytest.raises(bohm.ConfigError):
             bohm.SternGerlachConfig(x_min=5.0, x_max=-5.0)
         with pytest.raises(bohm.ConfigError):
             bohm.SternGerlachConfig(dt=0.5)  # grid-spacing accuracy guard
         with pytest.raises(bohm.ConfigError):
-            bohm.SternGerlachConfig(b0=1e4)  # potential-phase accuracy guard
+            bohm.SternGerlachConfig(b1=1e4)  # potential-phase accuracy guard
         with pytest.raises(bohm.ConfigError, match="zero steps"):
             bohm.SternGerlachConfig(t_final=1e-4)  # rounds to 0 steps of 1e-3
 
@@ -62,22 +60,23 @@ class TestEvolution:
     def test_free_gaussian_spreading(self):
         """Packet width against the closed-form free-spreading law."""
         cfg = bohm.SternGerlachConfig(
-            x_min=-20.0, x_max=20.0, cells=4096, dt=1e-3, t_final=2.0, mu=0.0
+            x_min=-20.0, x_max=20.0, cells=4096, dt=1e-3, t_final=2.0, b1=0.0
         )
         rec = bohm.simulate(cfg, theta=0.0)
         sig, _ = packet_sigma(rec.final.rho(), cfg.x, cfg.dx)
-        sig_exact = cfg.packet_sigma * np.sqrt(
-            1.0 + (cfg.hbar * cfg.t_final / (2.0 * cfg.mass * cfg.packet_sigma**2)) ** 2
-        )
+        sig0 = bohm.PACKET_SIGMA  # hbar = m = 1
+        sig_exact = sig0 * np.sqrt(1.0 + (cfg.t_final / (2.0 * sig0**2)) ** 2)
         assert abs(sig / sig_exact - 1.0) < 1e-4
 
     def test_uniform_field_is_global_phase(self):
         """A spatially constant potential only adds a phase to free evolution."""
-        cfg_v = bohm.SternGerlachConfig(b0=2.0, b1=0.0, t_final=0.1)
-        cfg_0 = bohm.SternGerlachConfig(b0=0.0, b1=0.0, t_final=0.1)
-        f_v = bohm.simulate(cfg_v, 0.0).final
+        cfg_0 = bohm.SternGerlachConfig(b1=0.0, t_final=0.1)
+        cfg_v = bohm.SternGerlachConfig(b1=0.0, t_final=0.1,
+                                        static_potential=np.full(cfg_0.cells, 2.0))
+        rec = bohm.simulate(cfg_v, 0.0)
+        f_v = rec.final
         f_0 = bohm.simulate(cfg_0, 0.0).final
-        assert f_v.t == pytest.approx(0.1)
+        assert rec.times[-1] == pytest.approx(0.1)
         assert np.max(np.abs(np.abs(f_v.up) - np.abs(f_0.up))) < 1e-7
 
     def test_ehrenfest_acceleration(self):
@@ -89,7 +88,7 @@ class TestEvolution:
         rho_up = np.abs(rec.final.up) ** 2
         rho_up = rho_up / (np.sum(rho_up) * cfg.dx)
         mean = np.sum(rho_up * cfg.x) * cfg.dx
-        expected = 0.5 * (-cfg.mu * cfg.b1 / cfg.mass) * cfg.t_final**2
+        expected = 0.5 * -cfg.b1 * cfg.t_final**2  # acceleration -mu b1 / m
         assert abs(mean / expected - 1.0) < 1e-3
 
     def test_norm_conservation(self, record_half):
@@ -103,8 +102,8 @@ class TestEvolution:
 
 def banded_reference_step(config, potential):
     """Crank-Nicolson step solved from scratch with the banded LU each step."""
-    kin = config.hbar**2 / (2.0 * config.mass * config.dx**2)
-    z = 1j * config.dt / (2.0 * config.hbar)
+    kin = 1.0 / (2.0 * config.dx**2)
+    z = 1j * config.dt / 2.0
     h_diag = 2.0 * kin + potential
     lhs = np.zeros((3, config.cells), dtype=complex)
     lhs[0, 1:] = -z * kin
@@ -142,7 +141,7 @@ def reference_diagnostics(config, field0):
         for a0, a1 in zip(prev, comps):
             mid = 0.5 * (a0 + a1)
             j[1:-1] += np.imag(np.conj(mid[:-1]) * mid[1:])
-        j *= config.hbar / (config.mass * dx)
+        j *= 1.0 / dx
         cont.append(float(np.max(np.abs((rho - rhos[-1]) / dt + np.diff(j) / dx))))
         rhos.append(rho)
         sigs.append(sig)
@@ -203,7 +202,8 @@ class TestStepper:
         assert record_half.paths_x.shape == (len(record_half.times), 0)
 
     @pytest.mark.parametrize("scene,field_on,component", [
-        ("sg", True, 0), ("sg", True, 1), ("sg", False, 0), ("bs", False, 0),
+        ("sg", True, 0), ("sg", True, 1), ("sg", False, 0), ("bs", True, 0),
+        ("bs", False, 0),
     ])
     def test_factored_step_matches_banded_solve(self, scene, field_on, component):
         if scene == "sg":
@@ -249,8 +249,15 @@ def local_spin(field):
 
 def cell_current(field, cfg):
     """The stepper's edge current averaged onto the cell centers."""
-    j = bohm._edge_current(field.up, field.down, cfg.dx, cfg.hbar, cfg.mass)
+    j = bohm._edge_current(field.up, field.down, cfg.dx)
     return 0.5 * (j[:-1] + j[1:])
+
+
+def moving_field(cfg, theta):
+    """The prepared spinor with the packet moving at wave number 2."""
+    packet = bohm.gaussian_packet(cfg.x, cfg.dx, 0.0, bohm.PACKET_SIGMA, 2.0)
+    return bohm.SpinorField(x=cfg.x, dx=cfg.dx, up=np.cos(theta / 2.0) * packet,
+                            down=np.sin(theta / 2.0) * packet)
 
 
 class TestDerivedFields:
@@ -261,10 +268,8 @@ class TestDerivedFields:
 
     def test_current_plane_wave_factor(self):
         # Fine grid keeps the central-difference dispersion error below tol.
-        cfg = bohm.SternGerlachConfig(
-            x_min=-10.0, x_max=10.0, cells=2048, packet_k0=2.0
-        )
-        f = bohm.prepare(cfg, np.pi / 2)
+        cfg = bohm.SternGerlachConfig(x_min=-10.0, x_max=10.0, cells=2048)
+        f = moving_field(cfg, np.pi / 2)
         rho, j = f.rho(), cell_current(f, cfg)
         bulk = np.abs(cfg.x) < 3.0
         assert np.max(np.abs(j[bulk] / rho[bulk] - 2.0)) < 1e-3
@@ -274,10 +279,8 @@ class TestDerivedFields:
         f_rest = bohm.prepare(default_config, 0.0)
         v_rest = cell_current(f_rest, default_config) / f_rest.rho()
         assert abs(np.interp(0.3, default_config.x, v_rest)) < 1e-10
-        cfg = bohm.SternGerlachConfig(
-            x_min=-10.0, x_max=10.0, cells=2048, packet_k0=2.0
-        )
-        f_mov = bohm.prepare(cfg, 0.0)
+        cfg = bohm.SternGerlachConfig(x_min=-10.0, x_max=10.0, cells=2048)
+        f_mov = moving_field(cfg, 0.0)
         v_mov = cell_current(f_mov, cfg) / f_mov.rho()
         assert np.interp(0.0, cfg.x, v_mov) == pytest.approx(2.0, abs=1e-3)
         assert np.isnan(np.interp(30.0, default_config.x,
@@ -285,7 +288,7 @@ class TestDerivedFields:
 
     def test_velocity_against_phase_gradient(self):
         """Two-packet interference region versus an unwrapped-phase oracle."""
-        cfg = bohm.SternGerlachConfig(x_min=-20.0, x_max=20.0, cells=4096, mu=0.0)
+        cfg = bohm.SternGerlachConfig(x_min=-20.0, x_max=20.0, cells=4096, b1=0.0)
         a = bohm.gaussian_packet(cfg.x, cfg.dx, -1.0, 1.0, 1.5)
         b = bohm.gaussian_packet(cfg.x, cfg.dx, 1.0, 1.0, -1.5)
         amp = (a + 1j * b) / np.sqrt(np.sum(np.abs(a + 1j * b) ** 2) * cfg.dx)
@@ -312,8 +315,9 @@ class TestDerivedFields:
 
 class TestSampling:
     def test_narrow_density_concentrates_samples(self):
-        cfg = bohm.SternGerlachConfig(packet_sigma=0.05)
-        f = bohm.prepare(cfg, 0.0)
+        cfg = bohm.SternGerlachConfig()
+        packet = bohm.gaussian_packet(cfg.x, cfg.dx, 0.0, 0.05, 0.0)
+        f = bohm.SpinorField(x=cfg.x, dx=cfg.dx, up=packet, down=np.zeros_like(packet))
         xs = bohm.sample_initial(f, 500, seed=3)
         assert np.max(np.abs(xs)) < 0.05 * 6
 
@@ -416,12 +420,34 @@ class TestQuantileOracle:
         assert (res.stats.n_plus, res.stats.n_minus) == (gate3, n - gate3)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.floats(-35.0, 35.0), min_size=1, max_size=40))
-def test_quantile_map_keeps_order(default_config, x0):
-    rec = bohm.simulate(default_config, theta=np.pi / 2, points=x0)
+def order_test_points():
+    """1016 starting points in a fixed shuffled order: both walls, a repeated
+    value, tails beyond 6 packet widths and a dense core."""
+    rng = np.random.default_rng(8)
+    special = [-35.0, 35.0, -34.99, 34.99, -20.0, 20.0, -10.0, 10.0, -7.0,
+               7.0, -6.5, 6.5, 0.25, 0.25, 35.0]
+    x0 = np.concatenate([np.linspace(-4.0, 4.0, 801),
+                         rng.uniform(-35.0, 35.0, 200), special])
+    return rng.permutation(x0)
+
+
+@pytest.fixture(scope="module")
+def tracked_points(default_config):
+    x0 = order_test_points()
+    return x0, bohm.simulate(default_config, theta=np.pi / 2, points=x0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, len(order_test_points()) - 1),
+                min_size=1, max_size=200))
+def test_quantile_map_keeps_order(tracked_points, idx):
+    """Tracked paths keep the starting order in every frame and end where
+    ``integrate_ensemble`` carries the same points."""
+    x0, rec = tracked_points
+    x0 = x0[idx]
     ens = bohm.integrate_ensemble(rec, x0)
-    xs, sigmas = rec.paths_x, rec.paths_sigma
+    xs, sigmas = rec.paths_x[:, idx], rec.paths_sigma[:, idx]
+    assert xs.shape[0] == rec.config.n_steps + 1
     order = np.argsort(x0, kind="stable")
     assert np.all(np.diff(ens.final_x[order]) >= 0)
     assert np.all(np.diff(xs[:, order], axis=1) >= 0)
@@ -446,6 +472,25 @@ def test_initial_points_outside_the_grid_rejected(record_half, monkeypatch,
     monkeypatch.setattr(bohm, "_cn_steps", no_step)
     with pytest.raises(DomainError):
         bohm.simulate(record_half.config, np.pi / 2, points=x0)
+
+
+@pytest.mark.parametrize("scene", ["analyzer", "beam_splitter"])
+@pytest.mark.parametrize("paths", [-1, 6], ids=["negative", "above_n"])
+def test_paths_outside_zero_to_n_rejected(default_config, monkeypatch, scene,
+                                          paths):
+    """At n = 5, paths = -1 and n + 1 raise DomainError before sampling or
+    stepping."""
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled or stepped before paths was checked")
+
+    monkeypatch.setattr(bohm, "sample_initial", fail)
+    monkeypatch.setattr(bohm, "_cn_steps", fail)
+    n = 5
+    with pytest.raises(DomainError, match="paths"):
+        if scene == "analyzer":
+            bohm.run_ensemble(default_config, np.pi / 2, n, seed=1, paths=paths)
+        else:
+            bohm.beam_splitter_scene("plus", n, seed=1, paths=paths)
 
 
 class TestEnsemble:
@@ -622,7 +667,7 @@ class TestArtifactFormatting:
                            (times, [2.5, np.nan] + [2.5] * 7)],
             "constant_x": [(np.full(4, -1.0), [0.0, 1.0, -np.inf, 3.0])],
         }[case]
-        svg = svgplot.render_lines(series, title="t", x_label="t", y_label="x")
+        svg = svgplot.render_lines(series, "t")
         points = re.findall(r'points="([^"]*)"', svg)
         assert points == reference_polyline_points(series)
         assert len(points) == len(series)

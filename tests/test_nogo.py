@@ -36,6 +36,18 @@ def overlapping_model(constraint_arity=2):
     return ont.OntModel(space, preps, resp, product_arity=constraint_arity)
 
 
+def disjoint_model():
+    """One cell per preparation, with the preparation-independent response of
+    ``overlapping_model``."""
+    space = ont.LambdaSpace(weights=np.ones(2))
+    preps = {
+        "psi1": ont.uniform_density(space, "psi1", [0]),
+        "psi2": ont.uniform_density(space, "psi2", [1]),
+    }
+    resp = ont.UniversalResponse(("1", "2", "3", "4"), np.full((4, 2, 2), 0.25))
+    return ont.OntModel(space, preps, resp, product_arity=2)
+
+
 class TestZeroConstraints:
     def test_product_construction_four_zeros(self, pair, basis2):
         zc = nogo.zero_constraints(pair, basis2)
@@ -77,7 +89,7 @@ class TestAnalyticContradiction:
         assert cert.margin == pytest.approx(1.0, abs=1e-15)  # q^n with q = 1
 
     def test_disjoint_densities_no_contradiction(self, pair, basis2):
-        model = nogo.construct_disjoint_model(*pair, basis2)
+        model = disjoint_model()
         zc = nogo.zero_constraints(pair, basis2)
         assert isinstance(
             nogo.analytic_contradiction(model, zc), nogo.NoContradiction
@@ -419,28 +431,17 @@ class TestAgreement:
 
 
 class TestDisjointModel:
-    def test_reproduces_all_product_probabilities(self, pair, basis2):
-        model = nogo.construct_disjoint_model(*pair, basis2)
-        labels = ("psi1", "psi2")
-        for j, k in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            joint = qcore.tensor([pair[j], pair[k]])
-            for i, phi in enumerate(basis2.vectors):
-                want = qcore.born(phi, joint)
-                got = ont.predict_product(
-                    model, (labels[j], labels[k]), outcome_index=i
-                )
-                assert abs(got - want) < 1e-12
+    def test_classify_ontic(self):
+        assert ont.classify(disjoint_model()) is PsiClass.PSI_ONTIC
 
-    def test_classify_ontic(self, pair, basis2):
-        model = nogo.construct_disjoint_model(*pair, basis2)
-        assert ont.classify(model) is PsiClass.PSI_ONTIC
-
-    def test_not_deterministic(self, pair, basis2):
-        model = nogo.construct_disjoint_model(*pair, basis2)
-        ok, offenders = nogo.determinism_check(model)
+    def test_not_deterministic(self):
+        ok, offenders = nogo.determinism_check(disjoint_model())
         assert not ok
-        values = {round(v, 6) for _, v in offenders}
-        assert 0.25 in values and 0.5 in values
+        # Every (outcome, lambda1, lambda2) entry of the 2-copy table.
+        assert sorted(key for key, _ in offenders) == [
+            (o, a, b) for o in ("1", "2", "3", "4") for a in (0, 1) for b in (0, 1)
+        ]
+        assert {v for _, v in offenders} == {0.25}
 
 
 class TestContextualEscape:

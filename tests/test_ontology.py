@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -42,13 +43,10 @@ class TestTypes:
         (ont.uniform_density, [0, 3]),
         (ont.uniform_density, [1.7]),
         (ont.uniform_density, [1, 1]),
-        (ont.delta_density, 7),
-        (ont.delta_density, 3),
-        (ont.delta_density, -1),
     ])
     def test_density_cells_outside_space_rejected(self, build, cells):
         space = ont.LambdaSpace(weights=np.ones(3))
-        named = re.escape(str(cells if isinstance(cells, list) else [cells]))
+        named = re.escape(str(cells))
         with pytest.raises(ont.OntologyError, match=named):
             build(space, "bad", cells)
 
@@ -79,6 +77,14 @@ class TestPredict:
         with pytest.raises(ont.UnknownLabel):
             ont.predict(bs_model, "plus", "gates", "7")
 
+    def test_multi_system_response_rejected(self):
+        space = simple_space()
+        resp = ont.UniversalResponse(("x", "y"), np.full((2, 4, 4), 0.5))
+        model = ont.OntModel(space, {"p": ont.uniform_density(space, "p", [0])},
+                             resp, product_arity=2)
+        with pytest.raises(ont.OntologyError, match="arity 2"):
+            ont.predict(model, "p", "default", "x")
+
     def test_outcome_completeness(self, bs_model):
         for prep in bs_model.prep_labels:
             total = sum(
@@ -87,50 +93,11 @@ class TestPredict:
             assert abs(total - 1.0) < 1e-10
 
 
-class TestPredictProduct:
-    def test_uniform_quarter(self):
-        space = simple_space()
-        preps = {
-            "a": ont.uniform_density(space, "a", [0, 1]),
-            "b": ont.uniform_density(space, "b", [2, 3]),
-        }
-        table = np.full((4, 4, 4), 0.25)
-        resp = ont.UniversalResponse(("1", "2", "3", "4"), table)
-        model = ont.OntModel(space, preps, resp, product_arity=2)
-        for labels in [("a", "a"), ("a", "b"), ("b", "b")]:
-            assert ont.predict_product(model, labels, outcome_index=2) == pytest.approx(
-                0.25, abs=1e-14
-            )
-
-    def test_outcome_sum(self):
-        space = simple_space()
-        preps = {"a": ont.uniform_density(space, "a", [0, 1, 2])}
-        rng = np.random.default_rng(3)
-        raw = rng.uniform(0.1, 1.0, size=(4, 4, 4))
-        table = raw / np.sum(raw, axis=0)
-        model = ont.OntModel(
-            space, preps, ont.UniversalResponse(("1", "2", "3", "4"), table), 2
-        )
-        total = sum(
-            ont.predict_product(model, ("a", "a"), outcome_index=i) for i in range(4)
-        )
-        assert abs(total - 1.0) < 1e-10
-
-    def test_arity_mismatch(self, bs_model):
-        with pytest.raises(ont.OntologyError):
-            ont.predict_product(bs_model, ("plus", "minus"), outcome_index=0)
-
-
 class TestSupportOverlap:
     def test_delta_support_singleton(self):
         space = simple_space()
-        d = ont.delta_density(space, "d", 2)
+        d = ont.uniform_density(space, "d", [2])
         assert list(ont.support(d)) == [2]
-
-    def test_eps_above_max_empty(self):
-        space = simple_space()
-        d = ont.uniform_density(space, "u", [0, 1])
-        assert ont.support(d, eps=10.0).size == 0
 
     def test_beam_splitter_supports(self, bs_model):
         s1 = ont.support(bs_model.preparations["psi1"])
@@ -164,8 +131,8 @@ class TestClassify:
     def test_disjoint_deltas_ontic(self):
         space = ont.LambdaSpace(weights=np.array([1.0, 1.0]))
         preps = {
-            "a": ont.delta_density(space, "a", 0),
-            "b": ont.delta_density(space, "b", 1),
+            "a": ont.uniform_density(space, "a", [0]),
+            "b": ont.uniform_density(space, "b", [1]),
         }
         resp = ont.UniversalResponse(("x",), np.ones((1, 2)))
         model = ont.OntModel(space, preps, resp)
@@ -226,19 +193,25 @@ class TestChainRule:
 
 
 class TestSerialization:
+    """``model_to_json`` writes every field of both response variants."""
+
+    @staticmethod
+    def check_common(d, model):
+        assert d["space"]["weights"] == model.space.weights.tolist()
+        coords = model.space.coords
+        assert d["space"]["coords"] == (None if coords is None else coords.tolist())
+        assert d["preparations"] == {
+            label: dens.values.tolist() for label, dens in model.preparations.items()
+        }
+        assert d["product_arity"] == model.product_arity
+        assert d["response"]["outcomes"] == list(model.response.outcomes)
+
     def test_round_trip_contextual(self, bs_model):
-        text = ont.model_to_json(bs_model)
-        back = ont.model_from_json(text)
-        assert np.array_equal(back.space.weights, bs_model.space.weights)
-        assert np.array_equal(back.space.coords, bs_model.space.coords)
-        for label in bs_model.prep_labels:
-            assert np.array_equal(
-                back.preparations[label].values, bs_model.preparations[label].values
-            )
-        for key, t in bs_model.response.tables.items():
-            assert np.array_equal(back.response.tables[key], t)
-        # Lossless: a second serialization is byte-identical.
-        assert ont.model_to_json(back) == text
+        d = json.loads(ont.model_to_json(bs_model))
+        self.check_common(d, bs_model)
+        assert d["response"]["variant"] == "contextual"
+        tables = {(e["prep"], e["context"]): e["table"] for e in d["response"]["tables"]}
+        assert tables == {key: t.tolist() for key, t in bs_model.response.tables.items()}
 
     def test_round_trip_universal(self):
         space = simple_space()
@@ -250,6 +223,8 @@ class TestSerialization:
             ont.UniversalResponse(("x", "y", "z"), raw / np.sum(raw, axis=0)),
             product_arity=2,
         )
-        back = ont.model_from_json(ont.model_to_json(model))
-        assert np.array_equal(back.response.table, model.response.table)
-        assert back.product_arity == 2
+        d = json.loads(ont.model_to_json(model))
+        self.check_common(d, model)
+        assert d["response"] == {"variant": "universal", "outcomes": ["x", "y", "z"],
+                                 "context": "default",
+                                 "table": model.response.table.tolist()}

@@ -122,7 +122,9 @@ class TestCoefficientTable:
         assert np.allclose(np.sum(table**2, axis=1), 1.0, atol=1e-12)
 
     def test_identity_pattern(self):
-        basis = qcore.computational_basis(2)
+        basis = qcore.MeasurementBasis(
+            2, tuple(qcore.QState(2, row) for row in np.eye(4, dtype=complex))
+        )
         table = qcore.coefficient_table(list(basis.vectors), basis)
         assert np.allclose(table, np.eye(4), atol=1e-15)
 

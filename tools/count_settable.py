@@ -7,9 +7,11 @@ totals them.  Settable values: the parameters with a default in the
 signature of every function and class that a psilab module defines itself
 (dataclass fields included, through the class signature), plus the
 command-line options of the subcommand parsers `cli._parser_*` (`--help`
-not counted).
+not counted).  Enum classes are skipped: their signature is Enum's functional
+API (`names`, `module`, ...), which no caller sets.
 """
 
+import enum
 import importlib
 import inspect
 import os
@@ -35,6 +37,8 @@ def defaulted_parameters() -> int:
         module = importlib.import_module(f"psilab.{info.name}")
         for obj in vars(module).values():
             own = getattr(obj, "__module__", None) == module.__name__
+            if inspect.isclass(obj) and issubclass(obj, enum.Enum):
+                continue
             if own and (inspect.isfunction(obj) or inspect.isclass(obj)):
                 try:
                     params = inspect.signature(obj).parameters.values()

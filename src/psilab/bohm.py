@@ -92,6 +92,10 @@ class SternGerlachConfig:
     static_potential: np.ndarray | None = None
 
     def __post_init__(self):
+        bad = [k for k in ("x_min", "x_max", "dt", "t_final", "b1")
+               if not np.isfinite(getattr(self, k))]
+        if bad:
+            raise ConfigError(f"{', '.join(bad)} must be finite")
         if self.cells < 64:
             raise ConfigError(f"need >= 64 cells, got {self.cells}")
         if self.x_max <= self.x_min:
@@ -106,6 +110,8 @@ class SternGerlachConfig:
             v = np.asarray(self.static_potential, dtype=float)
             if v.shape != (self.cells,):
                 raise ConfigError("static potential does not match the grid")
+            if not np.all(np.isfinite(v)):
+                raise ConfigError("static potential must be finite")
             object.__setattr__(self, "static_potential", v)
         # Accuracy guards for the implicit stepper (which is unconditionally
         # stable): reject grossly under-resolved stepping in space or in the
@@ -148,7 +154,7 @@ class SpinorField:
             raise BohmError("component arrays do not match the grid")
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", down)
-        if abs(self.norm() - 1.0) > 1e-8:
+        if not abs(self.norm() - 1.0) <= 1e-8:  # NaN fails too
             raise BohmError(f"field not normalized: norm = {self.norm()!r}")
 
     def rho(self) -> np.ndarray:
@@ -225,13 +231,14 @@ def _cn_steps(config: SternGerlachConfig, field0: SpinorField, steps: int):
     """The time-stepping loop: yield (up, down) after each of the steps.
 
     A component that is identically zero at the start stays so (a zero RHS
-    solves to zero), so it is not stepped.
+    solves to zero), so it is not stepped.  With b1 = 0 the field stage adds
+    nothing to the potentials, so both stages share one factorization.
     """
     up, down = field0.up, field0.down
     live_up, live_down = up.any(), down.any()
     steppers = {}
     for n in range(steps):
-        on = (n + 0.5) * config.dt < FIELD_OFF
+        on = config.b1 != 0.0 and (n + 0.5) * config.dt < FIELD_OFF
         if on not in steppers:
             v_up, v_down = _component_potentials(config, on)
             s_up = _stepper(config, v_up)

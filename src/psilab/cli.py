@@ -2,12 +2,17 @@
 
 Subcommands: pbr-table, pbr-check, escape-demo, bohm-sg, bohm-bs, selftest.
 Parameters come from the command line and/or a flat key=value config file
-(`#` comments allowed; command line wins).  JSON and CSV artifacts are
-byte-identical for identical config + seed, and every JSON payload carries
-a sha256 hash of its resolved scientific parameters.
+(`#` comments allowed).  Each file value is checked and becomes its option's
+default, so the command line wins (abbreviated flags included) and a
+malformed value fails even where the command line overrides it.  `main`
+heads every JSON payload with the scenario and `config_hash`: the sha256 of
+the scenario and every option except `config`, `out`, `paths`, `csv` and
+`svg`, which choose where or whether artifacts are written.  Artifacts are
+byte-identical for identical config + seed.
 
 Exit codes: 0 success, 1 scientific-check failure, 2 usage error (including
-input outside a documented domain: NogoError, OntologyError, DomainError).
+input outside a documented domain: NogoError, OntologyError, DomainError,
+bohm.ConfigError).
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ TABLE_REF = np.array(
 )
 
 PRODUCT_LABELS = ("psi1*psi1", "psi1*psi2", "psi2*psi1", "psi2*psi2")
+
+# Options that choose where or whether artifacts are written (not hashed).
+_UNHASHED = ("config", "out", "paths", "csv", "svg")
 
 
 class UsageError(Exception):
@@ -82,26 +90,22 @@ def _coerce(action: argparse.Action, text: str, where: str):
 
 
 def _apply_config(parser: argparse.ArgumentParser, ns: argparse.Namespace,
-                  argv_tail) -> None:
-    """Overlay config-file values onto defaulted (not CLI-given) options."""
+                  argv_tail) -> argparse.Namespace:
+    """Re-parse the command line over the config file's values as defaults."""
     if not ns.config:
-        return
+        return ns
     actions = {
         a.dest: a
         for a in parser._actions
         if a.dest not in ("help", "config")
     }
-    # Re-parse with every default suppressed: the dests that come back are
-    # the ones the command line gave, abbreviated flags included.
-    for a in parser._actions:
-        a.default = argparse.SUPPRESS
-    explicit = set(vars(parser.parse_args(argv_tail)))
+    defaults = {}
     for key, (text, lineno) in _parse_kv_file(ns.config).items():
         if key not in actions:
             raise UsageError(f"{ns.config}:{lineno}: unknown key {key!r}")
-        if key in explicit:
-            continue
-        setattr(ns, key, _coerce(actions[key], text, f"{ns.config}:{lineno}"))
+        defaults[key] = _coerce(actions[key], text, f"{ns.config}:{lineno}")
+    parser.set_defaults(**defaults)
+    return parser.parse_args(argv_tail)
 
 
 def _out_dir(ns) -> str:
@@ -157,20 +161,19 @@ def _parser_pbr_table() -> argparse.ArgumentParser:
     return p
 
 
-def _run_pbr_table(ns) -> int:
-    out = _out_dir(ns)
+def _pbr_table():
+    """Coefficient table of the four products of |0>, |+> against the fixed
+    2-qubit basis, and its largest deviation from TABLE_REF."""
     states = [qcore.ket(0), qcore.ket_plus()]
-    basis = qcore.pbr_basis_2qubit()
-    pairs = [
-        qcore.tensor([states[j], states[k]])
-        for j in range(2) for k in range(2)
-    ]
-    table = qcore.coefficient_table(pairs, basis)
-    err = float(np.max(np.abs(table - TABLE_REF)))
-    params = {"scenario": "pbr-table"}
+    pairs = [qcore.tensor([a, b]) for a in states for b in states]
+    table = qcore.coefficient_table(pairs, qcore.pbr_basis_2qubit())
+    return table, float(np.max(np.abs(table - TABLE_REF)))
+
+
+def _run_pbr_table(ns, out, head) -> int:
+    table, err = _pbr_table()
     payload = {
-        "scenario": "pbr-table",
-        "config_hash": _config_hash(params),
+        **head,
         "labels": list(PRODUCT_LABELS),
         "table": [[float(v) for v in row] for row in table],
         "max_error_vs_reference": err,
@@ -193,36 +196,29 @@ def _parser_pbr_check() -> argparse.ArgumentParser:
     return p
 
 
-def _run_pbr_check(ns) -> int:
-    out = _out_dir(ns)
+def _run_pbr_check(ns, out, head) -> int:
     if ns.scene == "n3":
-        basis = qcore.pbr_basis_n(ns.theta, 3)  # NotFound -> NogoError
-        states = list(qcore.make_qubit_pair(ns.theta))
         problem = nogo.pbr_scene_problem(
-            ns.cells_per_support, ns.shared, n=3, basis=basis, states=states
+            ns.cells_per_support, ns.shared, n=3,
+            basis=qcore.pbr_basis_n(ns.theta, 3),  # NotFound -> NogoError
+            states=list(qcore.make_qubit_pair(ns.theta)),
         )
         expected = LpStatus.INFEASIBLE
     else:
         shared = ns.shared if ns.scene == "overlap" else 0
-        basis = qcore.pbr_basis_2qubit()
-        states = [qcore.ket(0), qcore.ket_plus()]
         problem = nogo.pbr_scene_problem(ns.cells_per_support, shared)
         expected = (
             LpStatus.INFEASIBLE if ns.scene == "overlap" else LpStatus.FEASIBLE
         )
-    zeros = nogo.zero_constraints(states, basis)
+    # The zero constraints are the Born values the problem reproduces below
+    # ZERO_TOL, as nogo.zero_constraints selects them.
+    zeros = [v for v in problem.born.values() if v < nogo.ZERO_TOL]
     report = nogo.lp_feasibility(problem)
-    params = {
-        "scenario": "pbr-check", "scene": ns.scene,
-        "cells_per_support": ns.cells_per_support,
-        "shared": ns.shared, "theta": ns.theta,
-    }
     payload = {
-        "scenario": "pbr-check",
+        **head,
         "scene": ns.scene,
-        "config_hash": _config_hash(params),
         "n_zero_constraints": len(zeros),
-        "max_zero_born_value": max((z.born_value for z in zeros), default=0.0),
+        "max_zero_born_value": max(zeros, default=0.0),
         "status": report.status.name,
         "expected_status": expected.name,
         "iterations": report.iterations,
@@ -244,7 +240,8 @@ def _parser_escape_demo() -> argparse.ArgumentParser:
     return p
 
 
-def _verify_escape(scene: str) -> dict:
+def _verify_escape(scene: str):
+    """The escape model of a scene and its report."""
     model = nogo.contextual_escape(scene)
     born = nogo.scene_born(scene)
     max_err = max(
@@ -260,41 +257,28 @@ def _verify_escape(scene: str) -> dict:
     # The escape claim needs *some* distinct preparations with common
     # support (plus/minus in the beam-splitter scene); other pairs may be
     # disjoint by design.
-    return {
-        "model": model,
-        "report": {
-            "max_born_error": max_err,
-            "max_pairwise_overlap": max(overlaps),
-            "deterministic": deterministic,
-            "classification": ontology.classify(model).name,
-            "passed": bool(
-                max_err <= 1e-12 and max(overlaps) > 0 and deterministic
-            ),
-        },
+    return model, {
+        "max_born_error": max_err,
+        "max_pairwise_overlap": max(overlaps),
+        "deterministic": deterministic,
+        "classification": ontology.classify(model).name,
+        "passed": bool(max_err <= 1e-12 and max(overlaps) > 0 and deterministic),
     }
 
 
-def _run_escape_demo(ns) -> int:
-    out = _out_dir(ns)
+def _run_escape_demo(ns, out, head) -> int:
     scenes = (
         ("beam-splitter", "single-qubit-orthogonal")
         if ns.scene == "both" else (ns.scene,)
     )
-    params = {"scenario": "escape-demo", "scene": ns.scene}
     reports = {}
     ok = True
     for scene in scenes:
-        result = _verify_escape(scene)
-        reports[scene] = result["report"]
-        ok = ok and result["report"]["passed"]
-        _write(out, f"escape_{scene}.json",
-               ontology.model_to_json(result["model"]) + "\n")
-    payload = {
-        "scenario": "escape-demo",
-        "config_hash": _config_hash(params),
-        "scenes": reports,
-    }
-    _emit_json(out, "escape_demo.json", payload)
+        model, report = _verify_escape(scene)
+        reports[scene] = report
+        ok = ok and report["passed"]
+        _write(out, f"escape_{scene}.json", ontology.model_to_json(model) + "\n")
+    _emit_json(out, "escape_demo.json", {**head, "scenes": reports})
     return 0 if ok else 1
 
 
@@ -339,23 +323,14 @@ def _write_paths(ns, out, stem, title, record: bohm.EvolutionRecord) -> None:
                svgplot.render_lines(series, title))
 
 
-def _run_bohm_sg(ns) -> int:
-    out = _out_dir(ns)
+def _run_bohm_sg(ns, out, head) -> int:
     _check_ensemble_args(ns)
-    try:
-        cfg = bohm.SternGerlachConfig(
-            cells=ns.cells, dt=ns.dt, t_final=ns.t_final, b1=ns.b1
-        )
-    except bohm.ConfigError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = bohm.SternGerlachConfig(
+        cells=ns.cells, dt=ns.dt, t_final=ns.t_final, b1=ns.b1
+    )
     run = bohm.run_ensemble(cfg, ns.theta, ns.n, ns.seed, _kept_paths(ns))
-    params = {
-        "scenario": "bohm-sg", "theta": ns.theta, "n": ns.n, "seed": ns.seed,
-        "cells": ns.cells, "dt": ns.dt, "t_final": ns.t_final, "b1": ns.b1,
-    }
     payload = {
-        "scenario": "bohm-sg",
-        "config_hash": _config_hash(params),
+        **head,
         "theta": ns.theta,
         "born_p_plus": float(np.cos(ns.theta / 2.0) ** 2),
         "stats": run.stats.to_dict(),
@@ -376,18 +351,13 @@ def _parser_bohm_bs() -> argparse.ArgumentParser:
     return p
 
 
-def _run_bohm_bs(ns) -> int:
-    out = _out_dir(ns)
+def _run_bohm_bs(ns, out, head) -> int:
     _check_ensemble_args(ns)
     run = bohm.beam_splitter_scene(ns.prep, ns.n, ns.seed, _kept_paths(ns))
     stats = run.stats
-    params = {
-        "scenario": "bohm-bs", "prep": ns.prep, "n": ns.n, "seed": ns.seed,
-    }
     # Gate 3 is the + (x > 0) exit, gate 4 the - exit.
     payload = {
-        "scenario": "bohm-bs",
-        "config_hash": _config_hash(params),
+        **head,
         "prep": ns.prep,
         "counts": {"gate3": stats.n_plus, "gate4": stats.n_minus,
                    "unresolved": stats.n_unresolved},
@@ -409,17 +379,12 @@ def _parser_selftest() -> argparse.ArgumentParser:
 
 
 def _selftest_checks():
-    states = [qcore.ket(0), qcore.ket_plus()]
-    basis = qcore.pbr_basis_2qubit()
-
     def check_table():
-        pairs = [qcore.tensor([states[j], states[k]])
-                 for j in range(2) for k in range(2)]
-        table = qcore.coefficient_table(pairs, basis)
-        return float(np.max(np.abs(table - TABLE_REF))) < 1e-12
+        return _pbr_table()[1] < 1e-12
 
     def check_zeros():
-        zeros = nogo.zero_constraints(states, basis)
+        zeros = nogo.zero_constraints([qcore.ket(0), qcore.ket_plus()],
+                                      qcore.pbr_basis_2qubit())
         return len(zeros) == 4 and all(z.born_value < 1e-12 for z in zeros)
 
     def check_lp():
@@ -430,7 +395,7 @@ def _selftest_checks():
 
     def check_escapes():
         return all(
-            _verify_escape(scene)["report"]["passed"]
+            _verify_escape(scene)[1]["passed"]
             for scene in ("beam-splitter", "single-qubit-orthogonal")
         )
 
@@ -459,8 +424,7 @@ def _selftest_checks():
     )
 
 
-def _run_selftest(ns) -> int:
-    out = _out_dir(ns)
+def _run_selftest(ns, out, head) -> int:
     results = {}
     ok = True
     for name, fn in _selftest_checks():
@@ -468,13 +432,7 @@ def _run_selftest(ns) -> int:
         results[name] = passed
         ok = ok and passed
         print(f"{'ok' if passed else 'FAIL'} - {name}")
-    payload = {
-        "scenario": "selftest",
-        "config_hash": _config_hash({"scenario": "selftest"}),
-        "checks": results,
-        "passed": ok,
-    }
-    _emit_json(out, "selftest.json", payload)
+    _emit_json(out, "selftest.json", {**head, "checks": results, "passed": ok})
     return 0 if ok else 1
 
 
@@ -502,11 +460,13 @@ def main(argv=None) -> int:
     build, run = _COMMANDS[name]
     parser = build()
     try:
-        ns = parser.parse_args(tail)
-        _apply_config(parser, ns, tail)
-        return run(ns)
+        ns = _apply_config(parser, parser.parse_args(tail), tail)
+        params = {k: v for k, v in vars(ns).items() if k not in _UNHASHED}
+        head = {"scenario": name,
+                "config_hash": _config_hash({"scenario": name, **params})}
+        return run(ns, _out_dir(ns), head)
     except (UsageError, nogo.NogoError, ontology.OntologyError,
-            qcore.DomainError) as exc:
+            qcore.DomainError, bohm.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse's own usage failure

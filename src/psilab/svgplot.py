@@ -61,16 +61,12 @@ def render_lines(series, title: str) -> str:
         f'transform="rotate(-90 14 {height / 2})">x</text>',
     ]
     # Corner tick labels.
-    for (vx, vy), anchor, label in (
-        ((x_lo, y_lo), "start", None),
-        ((x_hi, y_lo), "end", None),
-    ):
-        px, py = to_px(vx, vy)
-        txt = _fmt(vx)
+    for vx, anchor in ((x_lo, "start"), (x_hi, "end")):
+        px, _ = to_px(vx, y_lo)
         parts.append(
             f'<text x="{_fmt(px)}" y="{height - margin + 16}" '
             f'text-anchor="{anchor}" font-family="sans-serif" '
-            f'font-size="11">{txt}</text>'
+            f'font-size="11">{_fmt(vx)}</text>'
         )
     for vy in (y_lo, y_hi):
         _, py = to_px(x_lo, vy)

@@ -40,6 +40,14 @@ class TestConfig:
             bohm.SternGerlachConfig(b1=1e4)  # potential-phase accuracy guard
         with pytest.raises(bohm.ConfigError, match="zero steps"):
             bohm.SternGerlachConfig(t_final=1e-4)  # rounds to 0 steps of 1e-3
+        for key in ("x_min", "x_max", "dt", "t_final", "b1"):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(bohm.ConfigError, match="finite"):
+                    bohm.SternGerlachConfig(**{key: bad})
+        barrier = np.zeros(1792)
+        barrier[7] = np.nan
+        with pytest.raises(bohm.ConfigError, match="finite"):
+            bohm.SternGerlachConfig(static_potential=barrier)
 
     def test_grid_metadata(self, default_config):
         cfg = default_config
@@ -54,6 +62,13 @@ class TestConfig:
         assert up_mass == pytest.approx(np.cos(np.pi / 6) ** 2, abs=1e-12)
         with pytest.raises(DomainError):
             bohm.prepare(default_config, -0.1)
+
+    def test_nan_field_rejected(self, default_config):
+        f = bohm.prepare(default_config, 0.0)
+        up = f.up.copy()
+        up[100] = np.nan
+        with pytest.raises(bohm.BohmError, match="not normalized"):
+            bohm.SpinorField(x=f.x, dx=f.dx, up=up, down=f.down)
 
 
 class TestEvolution:
@@ -240,6 +255,21 @@ class TestStepper:
         monkeypatch.setattr(bohm, "zgttrf", singular)
         with pytest.raises(bohm.BohmError, match="info = 5"):
             bohm.simulate(bohm.SternGerlachConfig(t_final=0.01), 0.0)
+
+    def test_one_factorization_per_distinct_potential(self, monkeypatch):
+        """The analyzer factors +b1 x, -b1 x and the field-off potential; the
+        beam splitter (b1 = 0) sees one potential throughout."""
+        zgttrf, calls = bohm.zgttrf, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return zgttrf(*args, **kwargs)
+
+        monkeypatch.setattr(bohm, "zgttrf", counting)
+        bohm.beam_splitter_scene("plus", 10, seed=1)
+        assert len(calls) == 1
+        bohm.simulate(bohm.SternGerlachConfig(), np.pi / 2)
+        assert len(calls) == 4
 
 
 def local_spin(field):

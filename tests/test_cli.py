@@ -10,6 +10,29 @@ import psilab
 from psilab import cli
 
 
+# config_hash of the runs below, pinned: a change to which options are hashed,
+# or how, shows here.
+CONFIG_HASH = {
+    "pbr-table": "ca61dbad379d1c91c284b8fee8c6947af4b12be5b79d6af0f09c9d23b09ef4bd",
+    "pbr-check-overlap":
+        "38fbd7339f7388d51ede8861ea43d17f605627721f2135482a5582027c3eff15",
+    "pbr-check-disjoint":
+        "058bb65d672b470dba723abe6631cf2a254caf9d67a7251963ebdeeeacd7e9eb",
+    "escape-demo": "001ddd0f19d71f0d7d3cf97cb6dd967e0f2689fc606589fbf4514ba59f6788d3",
+    "bohm-sg-args": "0967467f112c760497df8a9e5d101084667d8ceabeffea578fec20882d13df9c",
+    "bohm-sg-unresolved":
+        "658ec0bfeeef176043e206289b0693d96c69182d18e3e3ea76b6485d0ba7332b",
+    "bohm-bs-plus": "b704ff92135a6237ec050fb5cb14bf4728fc05d160a975f03cabba35a21291d6",
+    "config-applied":
+        "c91ce45169873fc2d568980e53b710ddfd7e4646ef139d3456e50bcdc8ae50bb",
+    "config-cli-wins":
+        "2fb651e000fc78b68f1f72f285092e7defcd4ceb5e16644cf025c2e1752659a9",
+    "config-abbreviated":
+        "873754278d8b90657ad90e177ed9f7abb650029ebf0c01cce181f629fbaae154",
+    "selftest": "17e254bf93b0f25e3d5b63866daf72460b341759fe14d6159c3f8ce95dfc008d",
+}
+
+
 def run(args):
     return cli.main(args)
 
@@ -25,7 +48,7 @@ class TestPbrTable:
         payload = load(tmp_path / "pbr_table.json")
         table = np.array(payload["table"])
         assert np.max(np.abs(table - cli.TABLE_REF)) < 1e-12
-        assert payload["config_hash"]
+        assert payload["config_hash"] == CONFIG_HASH["pbr-table"]
         csv_lines = (tmp_path / "pbr_table.csv").read_text().splitlines()
         assert csv_lines[0] == "state,phi_1,phi_2,phi_3,phi_4"
         assert len(csv_lines) == 5
@@ -40,6 +63,7 @@ class TestPbrCheck:
         assert payload["n_zero_constraints"] == 4
         assert payload["max_zero_born_value"] < 1e-12
         assert payload["certificate_margin"] == pytest.approx(5.0, abs=1e-9)
+        assert payload["config_hash"] == CONFIG_HASH["pbr-check-overlap"]
 
     def test_disjoint_scene_feasible(self, tmp_path):
         assert run(["pbr-check", "--scene", "disjoint", "--out", str(tmp_path)]) == 0
@@ -47,6 +71,7 @@ class TestPbrCheck:
         assert payload["status"] == "FEASIBLE"
         assert payload["residual"] < 1e-9
         assert payload["certificate_margin"] is None
+        assert payload["config_hash"] == CONFIG_HASH["pbr-check-disjoint"]
 
     @pytest.mark.parametrize("args", [
         ["--shared", "-1"],
@@ -82,6 +107,18 @@ def test_module_entry_point_imports_cli_once(tmp_path):
     assert (tmp_path / "pbr_table.json").exists()
 
 
+def test_library_import_loads_no_scipy():
+    """`import psilab` loads no submodule, so qcore and ontology come
+    without scipy, which only the LP and the stepper need."""
+    src = os.path.dirname(os.path.dirname(psilab.__file__))
+    code = ("import sys; from psilab import qcore, ontology; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestEscapeDemo:
     def test_both_scenes_pass(self, tmp_path):
         assert run(["escape-demo", "--out", str(tmp_path)]) == 0
@@ -93,6 +130,7 @@ class TestEscapeDemo:
             assert rep["max_born_error"] <= 1e-12
             assert rep["max_pairwise_overlap"] > 0
         assert (tmp_path / "escape_beam-splitter.json").exists()
+        assert payload["config_hash"] == CONFIG_HASH["escape-demo"]
 
 
 class TestBohmSg:
@@ -105,6 +143,7 @@ class TestBohmSg:
         assert payload["stats"]["p_plus"] == 1.0
         assert payload["stats"]["counts"]["unresolved"] == 0
         assert payload["norm_drift"] < 1e-8
+        assert payload["config_hash"] == CONFIG_HASH["bohm-sg-args"]
         csv = (tmp_path / "bohm_sg_trajectories.csv").read_text()
         assert csv.splitlines()[0] == "traj_id,t,x,sigma"
         svg = (tmp_path / "bohm_sg_trajectories.svg").read_text()
@@ -134,7 +173,9 @@ class TestBohmSg:
         # At t = 0.3 the packets have not separated: no point resolves.
         assert run(["bohm-sg", "--t-final", "0.3", "--n", "200",
                     "--out", str(tmp_path)]) == 1
-        stats = load(tmp_path / "bohm_sg.json")["stats"]
+        payload = load(tmp_path / "bohm_sg.json")
+        assert payload["config_hash"] == CONFIG_HASH["bohm-sg-unresolved"]
+        stats = payload["stats"]
         assert stats["counts"]["unresolved"] == 200 and not stats["valid"]
         assert stats["p_plus"] is None and stats["p_minus"] is None
         assert stats["e_sigma"] is None
@@ -161,6 +202,9 @@ class TestBohmSg:
     ["bohm-bs", "--paths", "-3", "--csv"],
     ["bohm-sg", "--n", "5", "--paths", "6", "--csv"],  # more paths than points
     ["bohm-bs", "--n", "5", "--paths", "6", "--svg"],
+    ["bohm-sg", "--t-final", "inf"],
+    ["bohm-sg", "--dt", "nan"],
+    ["bohm-sg", "--b1", "nan"],
 ])
 def test_bohm_outside_domain_is_usage_error(tmp_path, capsys, args):
     assert run([*args, "--out", str(tmp_path)]) == 2
@@ -177,6 +221,7 @@ class TestBohmBs:
         assert payload["p_gate3"] > 0.97
         assert payload["counts"]["gate3"] + payload["counts"]["gate4"] \
             + payload["counts"]["unresolved"] == 100
+        assert payload["config_hash"] == CONFIG_HASH["bohm-bs-plus"]
 
 
 class TestConfigFile:
@@ -193,6 +238,7 @@ class TestConfigFile:
         payload = load(tmp_path / "bohm_sg.json")
         assert payload["theta"] == 0.0
         assert payload["stats"]["n"] == 25
+        assert payload["config_hash"] == CONFIG_HASH["config-applied"]
 
     def test_command_line_wins(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -201,6 +247,7 @@ class TestConfigFile:
                     "--out", str(tmp_path)]) == 0
         payload = load(tmp_path / "bohm_sg.json")
         assert payload["stats"]["n"] == 30
+        assert payload["config_hash"] == CONFIG_HASH["config-cli-wins"]
 
     @pytest.mark.parametrize("flag", [["--see", "5"], ["--see=5"]])
     def test_abbreviated_command_line_flag_wins(self, tmp_path, flag):
@@ -208,7 +255,18 @@ class TestConfigFile:
         cfg.write_text("theta = 0\nn = 25\nt_final = 1.5\nseed = 9\n")
         assert run(["bohm-sg", *flag, "--config", str(cfg),
                     "--out", str(tmp_path)]) == 0
-        assert load(tmp_path / "bohm_sg.json")["stats"]["seed"] == 5
+        payload = load(tmp_path / "bohm_sg.json")
+        assert payload["stats"]["seed"] == 5
+        assert payload["config_hash"] == CONFIG_HASH["config-abbreviated"]
+
+    def test_malformed_value_rejected_though_overridden(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("theta = 0\nn = abc\n")
+        assert run(["bohm-sg", "--config", str(cfg), "--n", "5",
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.cfg:2" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -260,3 +318,4 @@ class TestSelftest:
         assert out.count("ok - ") == 6 and "FAIL" not in out
         payload = load(tmp_path / "selftest.json")
         assert payload["passed"] is True
+        assert payload["config_hash"] == CONFIG_HASH["selftest"]

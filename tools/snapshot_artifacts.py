@@ -25,6 +25,11 @@ CASES = {
     # up is 6e-17 times the packet, not zero).
     "bohm-sg-theta0": ["bohm-sg", "--theta", "0", "--n", "2000",
                        "--csv", "--svg"],
+    # Every scientific option off its default: checks config_hash and the
+    # writers beyond the defaults.
+    "bohm-sg-options": ["bohm-sg", "--theta", "1.0", "--n", "300", "--seed", "7",
+                        "--cells", "1024", "--dt", "2e-3", "--t-final", "2.5",
+                        "--b1", "-3.0", "--csv", "--svg"],
     "pbr-table": ["pbr-table"],
     "pbr-check-overlap": ["pbr-check", "--scene", "overlap"],
     "pbr-check-disjoint": ["pbr-check", "--scene", "disjoint"],

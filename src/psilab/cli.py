@@ -12,7 +12,8 @@ byte-identical for identical config + seed.
 
 Exit codes: 0 success, 1 scientific-check failure, 2 usage error (including
 input outside a documented domain: NogoError, OntologyError, DomainError,
-bohm.ConfigError).
+bohm.ConfigError, and a pbr-check option off its default in a scene that does
+not read it).
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ PRODUCT_LABELS = ("psi1*psi1", "psi1*psi2", "psi2*psi1", "psi2*psi2")
 
 # Options that choose where or whether artifacts are written (not hashed).
 _UNHASHED = ("config", "out", "paths", "csv", "svg")
+
+# pbr-check options that some scenes do not read, with their defaults.  A
+# value off the default there would only change config_hash, so it is
+# rejected.
+_PBR_CHECK_DEFAULTS = {"shared": 2, "theta": np.pi / 4}
+_PBR_CHECK_UNREAD = {"overlap": ("theta",), "disjoint": ("theta", "shared")}
 
 
 class UsageError(Exception):
@@ -190,13 +197,16 @@ def _parser_pbr_check() -> argparse.ArgumentParser:
     p.add_argument("--scene", choices=("overlap", "disjoint", "n3"),
                    default="overlap")
     p.add_argument("--cells-per-support", type=int, default=4)
-    p.add_argument("--shared", type=int, default=2)
-    p.add_argument("--theta", type=float, default=np.pi / 4,
+    p.add_argument("--shared", type=int, default=_PBR_CHECK_DEFAULTS["shared"])
+    p.add_argument("--theta", type=float, default=_PBR_CHECK_DEFAULTS["theta"],
                    help="pair angle for the n3 scene")
     return p
 
 
 def _run_pbr_check(ns, out, head) -> int:
+    for dest in _PBR_CHECK_UNREAD.get(ns.scene, ()):
+        if getattr(ns, dest) != _PBR_CHECK_DEFAULTS[dest]:
+            raise UsageError(f"--{dest} does nothing for --scene {ns.scene}")
     if ns.scene == "n3":
         problem = nogo.pbr_scene_problem(
             ns.cells_per_support, ns.shared, n=3,

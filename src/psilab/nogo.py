@@ -4,6 +4,10 @@ Extracts zero-probability constraints from product states and a measurement
 basis, derives the support-disjointness contradiction analytically, decides
 existence of preparation-independent response functions by linear
 feasibility, and constructs the contextual (preparation-conditioned) escape.
+The forcing verdict and the LP's reproduction rows share one Kronecker rule,
+``_kron_rows``, applied to the densities stacked as one array; supports come
+from ``ontology.support_mask``, so each no-go verdict costs a fixed number of
+array operations whatever the constraints.
 A psi-ontic model with disjoint supports needs no construction here: the
 witness of a FEASIBLE verdict on disjoint supports is its response.
 """
@@ -11,7 +15,6 @@ witness of a FEASIBLE verdict on disjoint supports is its response.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -96,12 +99,16 @@ def zero_constraints(
     ]
 
 
-def _kron_rows(factors, combos, n_tuples: int) -> np.ndarray:
-    """Per tuple of factor indices, the Kronecker product of those 1-D factors
-    (flattened in itertools.product order over their cells)."""
-    return np.array(
-        [reduce(np.multiply.outer, [factors[j] for j in c]).ravel() for c in combos]
-    ).reshape(len(combos), n_tuples)
+def _kron_rows(factors: np.ndarray, combos, arity: int) -> np.ndarray:
+    """Per tuple of row indices into the 2-D ``factors``, the Kronecker
+    product of those rows, flattened in itertools.product order over their
+    cells: one row per tuple, built by arity - 1 broadcast multiplies."""
+    idx = np.array(combos, dtype=int).reshape(len(combos), arity).T
+    rows = factors.take(idx[0], axis=0)
+    for j in idx[1:]:
+        rows = (rows[:, :, None] * factors.take(j, axis=0)[:, None, :]).reshape(
+            len(combos), rows.shape[1] * factors.shape[1])
+    return rows
 
 
 def _forcing(densities, cells, constraints, n_outcomes: int, arity: int):
@@ -114,13 +121,12 @@ def _forcing(densities, cells, constraints, n_outcomes: int, arity: int):
     and -1 on the zero rows, A^T y <= 0 and b^T y = sum(y_norm) less the
     vanishing Born values.  The witness is the first t with y_norm(t) > 0.
     """
-    factors = []
-    for d in densities:
-        f, s = np.zeros(d.space.size), ont.support(d)
-        f[s] = d.values[s] * d.space.weights[s]
-        factors.append(f[cells])
-    w = _kron_rows(factors, [z.preps for z in constraints], len(cells) ** arity)
-    best = np.zeros((n_outcomes, w.shape[1]))
+    values = np.array([d.values for d in densities])
+    weights = np.array([d.space.weights for d in densities])
+    factors = np.where(ont.support_mask(values), values * weights, 0.0).take(
+        cells, axis=1)
+    w = _kron_rows(factors, [z.preps for z in constraints], arity)
+    best = np.zeros((n_outcomes, len(cells) ** arity))
     np.maximum.at(best, np.array([z.outcome_index for z in constraints], int), w)
     y_norm = best.min(axis=0)
     hits = np.flatnonzero(y_norm > 0.0)
@@ -129,8 +135,8 @@ def _forcing(densities, cells, constraints, n_outcomes: int, arity: int):
     witness = np.unravel_index(hits[0], (len(cells),) * arity)
     return y_norm, ContradictionCertificate(
         tuple(int(cells[k]) for k in witness),
-        tuple(z for z, wz in zip(constraints, w[:, hits[0]]) if wz > 0.0),
-        float(np.sum(y_norm)),
+        tuple(z for z, wz in zip(constraints, w[:, hits[0]].tolist()) if wz > 0.0),
+        float(y_norm.sum()),
     )
 
 
@@ -194,19 +200,17 @@ def build_feasibility_problem(
     arity: int,
 ) -> FeasibilityProblem:
     """Assemble the equality system for a universal-response existence check."""
-    union = np.zeros(space.size, dtype=bool)
-    for d in densities:
-        union[ont.support(d)] = True
-    cells = np.flatnonzero(union)
+    values = np.array([d.values for d in densities])
+    cells = np.flatnonzero(ont.support_mask(values).any(axis=0))
     n_tuples = len(cells) ** arity
 
     # Normalization: sum over outcomes at each lambda tuple.
     norm = sparse.hstack([sparse.identity(n_tuples, format="csr")] * n_outcomes)
     # Reproduction: the Kronecker row of the weighted densities of each
     # preparation tuple, placed in its outcome's block of columns.
-    rho_w = [d.values[cells] * space.weights[cells] for d in densities]
+    rho_w = values[:, cells] * space.weights[cells]
     keys = sorted(born)
-    kron = _kron_rows(rho_w, [combo for _, combo in keys], n_tuples)
+    kron = _kron_rows(rho_w, [combo for _, combo in keys], arity)
     r, t = np.nonzero(kron)  # stored entries only, as in the dense count
     outcome = np.array([i for i, _ in keys], dtype=int)
     repro = sparse.csr_matrix(

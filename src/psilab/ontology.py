@@ -5,7 +5,10 @@ per quantum state label, and a response model that is either universal
 (outcome probabilities depend on lambda only) or contextual (additionally
 conditioned on the prepared state and the measurement setting).  Integrals
 over lambda become weighted sums, so every prediction and every support
-check is an exact finite computation.
+check is an exact finite computation.  The support cutoff has one rule,
+``support_mask``, which tests a whole stack of densities row by row.  The
+constructors reject NaN wherever they check a bound: every check is written
+so that a comparison with NaN fails it.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class LambdaSpace:
         w = np.asarray(self.weights, dtype=float)
         if w.size < 1:
             raise OntologyError("lambda space needs at least one point")
-        if np.any(w <= 0.0):
+        if not w.min() > 0.0:
             raise OntologyError("cell weights must be strictly positive")
         object.__setattr__(self, "weights", w)
         if self.coords is not None:
@@ -76,10 +79,11 @@ class PreparationDensity:
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.space.weights.shape:
             raise SpaceMismatch("density length does not match lambda space")
-        if np.any(v < 0.0):
-            raise OntologyError(f"negative density for preparation {self.label!r}")
-        total = float(np.sum(v * self.space.weights))
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not v.min() >= 0.0:
+            raise OntologyError(
+                f"negative or NaN density for preparation {self.label!r}")
+        total = float((v * self.space.weights).sum())
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise OntologyError(
                 f"density for {self.label!r} integrates to {total!r}, expected 1"
             )
@@ -95,24 +99,25 @@ def uniform_density(space: LambdaSpace, label: str, cells) -> PreparationDensity
     cells = np.asarray(cells)
     # Checked on a Python list: numpy's per-call overhead on a few cells is
     # several times larger, and support sweeps build thousands of densities.
-    listed = cells.ravel().tolist()
+    listed, size = cells.ravel().tolist(), space.size
     if not listed or len(set(listed)) < len(listed) or not all(
-        type(c) is int and 0 <= c < space.size for c in listed
+        type(c) is int and 0 <= c < size for c in listed
     ):
         raise OntologyError(f"cells {listed} are not a nonempty set of distinct "
-                            f"integer indices in [0, {space.size})")
-    v = np.zeros(space.size)
-    total = float(np.sum(space.weights[cells]))
+                            f"integer indices in [0, {size})")
+    v = np.zeros(size)
+    total = float(space.weights[cells].sum())
     v[cells] = 1.0 / total
     return PreparationDensity(space, label, v)
 
 
 def _check_response_table(table: np.ndarray, what: str):
-    if np.any(table < -RESPONSE_TOL) or np.any(table > 1.0 + RESPONSE_TOL):
-        raise OntologyError(f"{what}: entries outside [0, 1]")
-    sums = np.sum(table, axis=0)
-    if np.max(np.abs(sums - 1.0)) > RESPONSE_TOL:
+    # The sums first: a table with no outcome rows fails here, before a
+    # reduction over its zero entries could raise.
+    if not abs(table.sum(axis=0) - 1.0).max() <= RESPONSE_TOL:
         raise OntologyError(f"{what}: outcome probabilities do not sum to 1")
+    if not (table.min() >= -RESPONSE_TOL and table.max() <= 1.0 + RESPONSE_TOL):
+        raise OntologyError(f"{what}: entries outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -219,11 +224,18 @@ def predict(model: OntModel, prep_label: str, context: str, outcome: str) -> flo
     return float(np.sum(resp.table[idx] * rho_w))
 
 
+def support_mask(values: np.ndarray) -> np.ndarray:
+    """True where a density exceeds SUPPORT_EPS_FACTOR times its maximum.
+
+    ``values`` is one density or a 2-D stack of them, one per row; the cutoff
+    is taken row by row.
+    """
+    return values > SUPPORT_EPS_FACTOR * values.max(axis=-1, keepdims=True)
+
+
 def support(density: PreparationDensity) -> np.ndarray:
-    """Indices of cells whose density exceeds SUPPORT_EPS_FACTOR times its
-    maximum."""
-    eps = SUPPORT_EPS_FACTOR * float(np.max(density.values))
-    return np.flatnonzero(density.values > eps)
+    """Indices of the cells in the support of a density (``support_mask``)."""
+    return np.flatnonzero(support_mask(density.values))
 
 
 def overlap(d1: PreparationDensity, d2: PreparationDensity) -> float:
@@ -232,12 +244,8 @@ def overlap(d1: PreparationDensity, d2: PreparationDensity) -> float:
         d1.space.weights, d2.space.weights
     ):
         raise SpaceMismatch("densities live on different lambda spaces")
-    s1 = np.zeros(d1.space.size, dtype=bool)
-    s1[support(d1)] = True
-    s2 = np.zeros(d2.space.size, dtype=bool)
-    s2[support(d2)] = True
-    both = s1 & s2
-    return float(np.sum(d1.space.weights[both]))
+    both = support_mask(np.array([d1.values, d2.values])).all(axis=0)
+    return float(d1.space.weights[both].sum())
 
 
 def classify(model: OntModel) -> PsiClass:

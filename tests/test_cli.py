@@ -78,6 +78,10 @@ class TestPbrCheck:
         ["--cells-per-support", "0"],
         ["--scene", "n3", "--theta", "0"],
         ["--scene", "n3", "--theta", str(np.pi / 8)],  # no 3-copy basis
+        # Options the scene does not read, off their defaults.
+        ["--scene", "overlap", "--theta", "1.0"],
+        ["--scene", "disjoint", "--theta", "1.0"],
+        ["--scene", "disjoint", "--shared", "3"],
     ])
     def test_outside_domain_is_usage_error(self, tmp_path, capsys, args):
         assert run(["pbr-check", *args, "--out", str(tmp_path)]) == 2
@@ -267,6 +271,15 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bad.cfg:2" in err
         assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    def test_unread_pbr_check_option_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("shared = 3\n")
+        assert run(["pbr-check", "--config", str(cfg), "--scene", "disjoint",
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --shared does nothing for --scene disjoint\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

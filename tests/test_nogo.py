@@ -1,3 +1,4 @@
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -115,6 +116,72 @@ class TestAnalyticContradiction:
     def test_constraint_not_fitting_model_rejected(self, z):
         with pytest.raises(nogo.NogoError):
             nogo.analytic_contradiction(overlapping_model(), [z])
+
+
+def reference_forcing(densities, cells, constraints, n_outcomes, arity):
+    """nogo._forcing as one support lookup and one reduce(np.multiply.outer)
+    Kronecker row per density and constraint: the oracle for the stacked
+    version, which must give the same y_norm bytes and verdict."""
+    factors = []
+    for d in densities:
+        eps = ont.SUPPORT_EPS_FACTOR * float(np.max(d.values))
+        f, s = np.zeros(d.space.size), np.flatnonzero(d.values > eps)
+        f[s] = d.values[s] * d.space.weights[s]
+        factors.append(f[cells])
+    n_tuples = len(cells) ** arity
+    w = np.array(
+        [reduce(np.multiply.outer, [factors[j] for j in z.preps]).ravel()
+         for z in constraints]
+    ).reshape(len(constraints), n_tuples)
+    best = np.zeros((n_outcomes, n_tuples))
+    np.maximum.at(best, np.array([z.outcome_index for z in constraints], int), w)
+    y_norm = best.min(axis=0)
+    hits = np.flatnonzero(y_norm > 0.0)
+    if hits.size == 0:
+        return y_norm, nogo.NoContradiction()
+    witness = np.unravel_index(hits[0], (len(cells),) * arity)
+    return y_norm, nogo.ContradictionCertificate(
+        tuple(int(cells[k]) for k in witness),
+        tuple(z for z, wz in zip(constraints, w[:, hits[0]]) if wz > 0.0),
+        float(np.sum(y_norm)),
+    )
+
+
+class TestForcingOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 6), n_dens=st.integers(1, 3),
+           n_outcomes=st.integers(1, 4), arity=st.integers(1, 3), data=st.data())
+    def test_matches_reference(self, m, n_dens, n_outcomes, arity, data):
+        weights = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=m, max_size=m))
+        space = ont.LambdaSpace(weights=weights)
+        # 1e-14 is below a density's own support cutoff; 1e-10 is above it
+        # but can lie below the cutoff of a denser row of the stack.
+        entry = st.one_of(st.sampled_from([0.0, 1e-14, 1e-10]),
+                          st.floats(1e-3, 1e3))
+        densities = []
+        for k in range(n_dens):
+            raw = np.array(data.draw(st.lists(entry, min_size=m, max_size=m)))
+            raw[data.draw(st.integers(0, m - 1))] = 1.0
+            densities.append(ont.PreparationDensity(
+                space, f"p{k}", raw / np.sum(raw * space.weights)))
+        cells = np.array(sorted(data.draw(
+            st.sets(st.integers(0, m - 1), min_size=1))))
+        constraint = st.builds(
+            nogo.ZeroConstraint, st.integers(0, n_outcomes - 1),
+            st.tuples(*[st.integers(0, n_dens - 1)] * arity), st.just(0.0))
+        constraints = data.draw(st.lists(constraint, max_size=12))
+        constraints = data.draw(st.permutations(constraints))
+
+        y_ref, verdict_ref = reference_forcing(
+            densities, cells, constraints, n_outcomes, arity)
+        y_new, verdict_new = nogo._forcing(
+            densities, cells, constraints, n_outcomes, arity)
+        assert y_new.tobytes() == y_ref.tobytes()
+        assert verdict_new == verdict_ref
+
+        stack = ont.support_mask(np.array([d.values for d in densities]))
+        for row, d in zip(stack, densities):
+            assert np.array_equal(np.flatnonzero(row), ont.support(d))
 
 
 class TestLpFeasibility:

@@ -50,6 +50,19 @@ class TestTypes:
         with pytest.raises(ont.OntologyError, match=named):
             build(space, "bad", cells)
 
+    @pytest.mark.parametrize("build", [
+        lambda: ont.LambdaSpace(weights=[1.0, np.nan]),
+        lambda: ont.PreparationDensity(ont.LambdaSpace(weights=np.ones(2)), "nan",
+                                       np.array([1.0, np.nan])),
+        lambda: ont.UniversalResponse(("a", "b"), np.array([[1.0, np.nan],
+                                                            [0.0, 0.5]])),
+        lambda: ont.ContextualResponse(("a", "b"), {("p", "c"): np.array(
+            [[1.0, np.nan], [0.0, 0.5]])}),
+    ], ids=["space", "density", "universal", "contextual"])
+    def test_nan_rejected(self, build):
+        with pytest.raises(ont.OntologyError):
+            build()
+
     def test_response_normalization_rejected(self):
         with pytest.raises(ont.OntologyError):
             ont.UniversalResponse(("a", "b"), np.array([[0.5, 0.5], [0.4, 0.5]]))

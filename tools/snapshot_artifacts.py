@@ -36,6 +36,11 @@ CASES = {
     "pbr-check-n3": ["pbr-check", "--scene", "n3"],
     "pbr-check-n3-wide": ["pbr-check", "--scene", "n3",
                           "--cells-per-support", "5", "--shared", "2"],
+    # Off the defaults that the scenes read: a wider 3-copy angle (a basis
+    # exists there) and an overlap of one cell.
+    "pbr-check-n3-theta": ["pbr-check", "--scene", "n3", "--theta", "1.2"],
+    "pbr-check-overlap-shared1": ["pbr-check", "--scene", "overlap",
+                                  "--shared", "1"],
     "escape-demo": ["escape-demo"],
     "selftest": ["selftest"],
 }

@@ -516,7 +516,6 @@ class EnsembleRun:
 
     record: EvolutionRecord
     x0: np.ndarray
-    final_x: np.ndarray
     stats: EnsembleStats
 
 
@@ -533,7 +532,7 @@ def _run(config: SternGerlachConfig, field0: SpinorField, n: int, seed: int,
     x0s = sample_initial(field0, n, seed)
     record = simulate(config, field0=field0, points=x0s[:paths])
     ens = integrate_ensemble(record, x0s)
-    return EnsembleRun(record=record, x0=ens.x0, final_x=ens.final_x,
+    return EnsembleRun(record=record, x0=ens.x0,
                        stats=_stats_from_outcomes(outcomes_of(ens), seed))
 
 

@@ -207,28 +207,25 @@ def _run_pbr_check(ns, out, head) -> int:
     for dest in _PBR_CHECK_UNREAD.get(ns.scene, ()):
         if getattr(ns, dest) != _PBR_CHECK_DEFAULTS[dest]:
             raise UsageError(f"--{dest} does nothing for --scene {ns.scene}")
+    shared = 0 if ns.scene == "disjoint" else ns.shared
     if ns.scene == "n3":
         problem = nogo.pbr_scene_problem(
-            ns.cells_per_support, ns.shared, n=3,
+            ns.cells_per_support, shared, n=3,
             basis=qcore.pbr_basis_n(ns.theta, 3),  # NotFound -> NogoError
             states=list(qcore.make_qubit_pair(ns.theta)),
         )
-        expected = LpStatus.INFEASIBLE
     else:
-        shared = ns.shared if ns.scene == "overlap" else 0
         problem = nogo.pbr_scene_problem(ns.cells_per_support, shared)
-        expected = (
-            LpStatus.INFEASIBLE if ns.scene == "overlap" else LpStatus.FEASIBLE
-        )
-    # The zero constraints are the Born values the problem reproduces below
-    # ZERO_TOL, as nogo.zero_constraints selects them.
-    zeros = [v for v in problem.born.values() if v < nogo.ZERO_TOL]
+    # The zero constraints force a contradiction exactly where the two
+    # supports share a cell; disjoint supports admit a universal response.
+    expected = LpStatus.INFEASIBLE if shared > 0 else LpStatus.FEASIBLE
     report = nogo.lp_feasibility(problem)
     payload = {
         **head,
         "scene": ns.scene,
-        "n_zero_constraints": len(zeros),
-        "max_zero_born_value": max(zeros, default=0.0),
+        "n_zero_constraints": len(problem.zeros),
+        "max_zero_born_value": max((z.born_value for z in problem.zeros),
+                                   default=0.0),
         "status": report.status.name,
         "expected_status": expected.name,
         "iterations": report.iterations,
@@ -245,7 +242,7 @@ def _parser_escape_demo() -> argparse.ArgumentParser:
                                 description="Build and verify contextual escapes")
     _add_common(p)
     p.add_argument("--scene",
-                   choices=("beam-splitter", "single-qubit-orthogonal", "both"),
+                   choices=(*nogo.ESCAPE_SCENES, "both"),
                    default="both")
     return p
 
@@ -277,10 +274,7 @@ def _verify_escape(scene: str):
 
 
 def _run_escape_demo(ns, out, head) -> int:
-    scenes = (
-        ("beam-splitter", "single-qubit-orthogonal")
-        if ns.scene == "both" else (ns.scene,)
-    )
+    scenes = tuple(nogo.ESCAPE_SCENES) if ns.scene == "both" else (ns.scene,)
     reports = {}
     ok = True
     for scene in scenes:
@@ -404,10 +398,8 @@ def _selftest_checks():
                 and feasible.status is LpStatus.FEASIBLE)
 
     def check_escapes():
-        return all(
-            _verify_escape(scene)[1]["passed"]
-            for scene in ("beam-splitter", "single-qubit-orthogonal")
-        )
+        return all(_verify_escape(scene)[1]["passed"]
+                   for scene in nogo.ESCAPE_SCENES)
 
     def check_sampling():
         cfg = bohm.SternGerlachConfig()

@@ -10,6 +10,10 @@ from ``ontology.support_mask``, so each no-go verdict costs a fixed number of
 array operations whatever the constraints.
 A psi-ontic model with disjoint supports needs no construction here: the
 witness of a FEASIBLE verdict on disjoint supports is its response.
+Each scene fact is stated once: ``_zero_set`` is the one selection of the
+Born values below ZERO_TOL (``zero_constraints`` and ``FeasibilityProblem.
+zeros``), and ``ESCAPE_SCENES`` maps each escape scene to its model builder
+and the Born values that model must reproduce.
 """
 
 from __future__ import annotations
@@ -91,12 +95,13 @@ def zero_constraints(
         raise qcore.DimensionMismatch(
             f"basis dims {basis.dims} not a multiple of state dims {state_dims}"
         )
-    born = _born_values(states, basis, basis.dims // state_dims)
-    return [
-        ZeroConstraint(i, combo, p)
-        for (i, combo), p in sorted(born.items())
-        if p < ZERO_TOL
-    ]
+    return list(_zero_set(_born_values(states, basis, basis.dims // state_dims)))
+
+
+def _zero_set(born: dict) -> tuple[ZeroConstraint, ...]:
+    """The Born values below ZERO_TOL as zero constraints, in key order."""
+    return tuple(ZeroConstraint(i, combo, p)
+                 for (i, combo), p in sorted(born.items()) if p < ZERO_TOL)
 
 
 def _kron_rows(factors: np.ndarray, combos, arity: int) -> np.ndarray:
@@ -150,7 +155,7 @@ def analytic_contradiction(
     insertion order.  Requires a universal (preparation-independent) response:
     for contextual models the forcing step is unavailable and
     ContextualModelError is raised.  NogoError is raised for a constraint
-    whose arity or outcome index does not fit the model.
+    whose arity, outcome index or preparation indices do not fit the model.
     """
     if isinstance(model.response, ont.ContextualResponse):
         raise ContextualModelError(
@@ -159,10 +164,12 @@ def analytic_contradiction(
             "apply to the same response entry"
         )
     arity, n_out = model.product_arity, len(model.response.outcomes)
+    n_preps = len(model.preparations)
     for z in constraints:
-        if len(z.preps) != arity or not 0 <= z.outcome_index < n_out:
-            raise NogoError(f"constraint {z} does not fit arity {arity} and "
-                            f"{n_out} outcomes")
+        if (len(z.preps) != arity or not 0 <= z.outcome_index < n_out
+                or not all(0 <= j < n_preps for j in z.preps)):
+            raise NogoError(f"constraint {z} does not fit arity {arity}, "
+                            f"{n_out} outcomes and {n_preps} preparations")
     densities, cells = list(model.preparations.values()), np.arange(model.space.size)
     return _forcing(densities, cells, constraints, n_out, arity)[1]
 
@@ -179,7 +186,8 @@ class FeasibilityProblem:
     Variables are response entries xi(outcome i | lambda tuple) over the
     ``cells`` (cells of the lambda space lying in some preparation support).
     Equalities: per-tuple normalization over outcomes, and one reproduction
-    constraint per (outcome, preparation tuple).
+    constraint per (outcome, preparation tuple).  ``zeros`` are the Born
+    values below ZERO_TOL, as ``zero_constraints`` selects them.
     """
 
     space: ont.LambdaSpace
@@ -188,6 +196,7 @@ class FeasibilityProblem:
     arity: int
     cells: np.ndarray  # active lambda cells (indices into the space)
     born: dict  # (outcome index, prep tuple) -> probability
+    zeros: tuple[ZeroConstraint, ...]
     a_eq: sparse.csr_matrix
     b_eq: np.ndarray
 
@@ -224,6 +233,7 @@ def build_feasibility_problem(
         arity=arity,
         cells=cells,
         born=dict(born),
+        zeros=_zero_set(born),
         a_eq=sparse.vstack([norm, repro], format="csr"),
         b_eq=np.concatenate([np.ones(n_tuples), [born[k] for k in keys]]),
     )
@@ -303,9 +313,7 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
         return FeasibilityReport(
             res.status, xi, None, residual, res.iterations, None, None
         )
-    zeros = [ZeroConstraint(i, combo, v)
-             for (i, combo), v in problem.born.items() if v < ZERO_TOL]
-    y_norm, forcing = _forcing(problem.densities, problem.cells, zeros,
+    y_norm, forcing = _forcing(problem.densities, problem.cells, problem.zeros,
                                problem.n_outcomes, problem.arity)
     y = res.y
     if res.status is LpStatus.INDETERMINATE:  # Born values follow y_norm in b_eq
@@ -323,64 +331,113 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
 # ---------------------------------------------------------------------------
 
 
+BS_CONTEXT = "gates"
+BS_OUTCOMES = ("3", "4")
+BS_CELLS_PER_GATE = 4
 SQO_CONTEXT = "pm"
 SQO_OUTCOMES = ("+", "-")
 
 
-def contextual_escape(scene: str) -> ont.OntModel:
-    """Deterministic contextual model with overlapping supports for a scene.
+def _beam_splitter_model() -> ont.OntModel:
+    """Deterministic contextual model of a 50-50 beam splitter.
 
-    'beam-splitter': the two-gate interferometer model.
-    'single-qubit-orthogonal': two orthogonal preparations sharing one
-    uniform lambda distribution; the response conditioned on the preparation
-    routes every lambda to the certain outcome.
+    Lambda is the packet coordinate: two disjoint regions, one per input
+    gate.  Preparations entering a single gate are uniform on their region;
+    the two phased superpositions are uniform on both.  Responses are
+    conditioned on the preparation: superposition '+' sends every lambda to
+    exit 3 and '-' to exit 4, while single-gate preparations split their
+    region in half by coordinate order (lower half to exit 3).  The choice
+    of which half goes where is conventional; any fixed deterministic
+    partition reproduces the 50-50 statistics.
     """
-    if scene == "beam-splitter":
-        return ont.build_beam_splitter_model()
-    if scene == "single-qubit-orthogonal":
-        m = 4
-        space = ont.LambdaSpace(weights=np.full(m, 0.25))
-        preps = {
-            "psi1": ont.uniform_density(space, "psi1", np.arange(m)),
-            "psi2": ont.uniform_density(space, "psi2", np.arange(m)),
-        }
-        all_minus = np.vstack([np.zeros(m), np.ones(m)])
-        all_plus = np.vstack([np.ones(m), np.zeros(m)])
-        resp = ont.ContextualResponse(
-            SQO_OUTCOMES,
-            {
-                ("psi1", SQO_CONTEXT): all_minus,
-                ("psi2", SQO_CONTEXT): all_plus,
-            },
-        )
-        return ont.OntModel(space, preps, resp)
-    raise NogoError(f"unknown scene {scene!r}")
+    cells_per_gate = BS_CELLS_PER_GATE
+    m = 2 * cells_per_gate
+    width = 1.0 / cells_per_gate
+    centers = width * (np.arange(cells_per_gate) + 0.5)
+    coords = np.concatenate([-2.0 + centers, 1.0 + centers])
+    space = ont.LambdaSpace(weights=np.full(m, width), coords=coords)
+    preparations = {
+        "psi1": ont.uniform_density(space, "psi1", np.arange(cells_per_gate)),
+        "psi2": ont.uniform_density(space, "psi2", np.arange(cells_per_gate, m)),
+        "plus": ont.uniform_density(space, "plus", np.arange(m)),
+        "minus": ont.uniform_density(space, "minus", np.arange(m)),
+    }
+
+    all_to3 = np.vstack([np.ones(m), np.zeros(m)])
+    all_to4 = np.vstack([np.zeros(m), np.ones(m)])
+    # Lower coordinate half of each region exits at gate 3.
+    half = cells_per_gate // 2
+    to3 = np.zeros(m, dtype=bool)
+    to3[:half] = True
+    to3[cells_per_gate : cells_per_gate + half] = True
+    split = np.vstack([to3.astype(float), (~to3).astype(float)])
+
+    tables = {
+        ("plus", BS_CONTEXT): all_to3,
+        ("minus", BS_CONTEXT): all_to4,
+        ("psi1", BS_CONTEXT): split,
+        ("psi2", BS_CONTEXT): split,
+    }
+    response = ont.ContextualResponse(BS_OUTCOMES, tables)
+    return ont.OntModel(space, preparations, response)
+
+
+def _single_qubit_orthogonal_model() -> ont.OntModel:
+    """Two orthogonal preparations sharing one uniform lambda distribution;
+    the response conditioned on the preparation routes every lambda to the
+    certain outcome."""
+    m = 4
+    space = ont.LambdaSpace(weights=np.full(m, 0.25))
+    preps = {
+        "psi1": ont.uniform_density(space, "psi1", np.arange(m)),
+        "psi2": ont.uniform_density(space, "psi2", np.arange(m)),
+    }
+    all_minus = np.vstack([np.zeros(m), np.ones(m)])
+    all_plus = np.vstack([np.ones(m), np.zeros(m)])
+    resp = ont.ContextualResponse(SQO_OUTCOMES, {("psi1", SQO_CONTEXT): all_minus,
+                                                 ("psi2", SQO_CONTEXT): all_plus})
+    return ont.OntModel(space, preps, resp)
+
+
+# Each escape scene: its model builder, and the quantum predictions that
+# model must reproduce, keyed (preparation label, context, outcome).
+ESCAPE_SCENES = {
+    "beam-splitter": (_beam_splitter_model, {
+        ("plus", BS_CONTEXT, "3"): 1.0,
+        ("plus", BS_CONTEXT, "4"): 0.0,
+        ("minus", BS_CONTEXT, "3"): 0.0,
+        ("minus", BS_CONTEXT, "4"): 1.0,
+        ("psi1", BS_CONTEXT, "3"): 0.5,
+        ("psi1", BS_CONTEXT, "4"): 0.5,
+        ("psi2", BS_CONTEXT, "3"): 0.5,
+        ("psi2", BS_CONTEXT, "4"): 0.5,
+    }),
+    "single-qubit-orthogonal": (_single_qubit_orthogonal_model, {
+        ("psi1", SQO_CONTEXT, "+"): 0.0,
+        ("psi1", SQO_CONTEXT, "-"): 1.0,
+        ("psi2", SQO_CONTEXT, "+"): 1.0,
+        ("psi2", SQO_CONTEXT, "-"): 0.0,
+    }),
+}
+
+
+def _escape(scene: str):
+    try:
+        return ESCAPE_SCENES[scene]
+    except KeyError:
+        raise NogoError(f"unknown scene {scene!r}") from None
+
+
+def contextual_escape(scene: str) -> ont.OntModel:
+    """Deterministic contextual model with overlapping supports for a scene
+    of ESCAPE_SCENES; NogoError for any other name."""
+    return _escape(scene)[0]()
 
 
 def scene_born(scene: str) -> dict:
-    """Quantum predictions reproduced by the corresponding escape model,
-    keyed (preparation label, context, outcome)."""
-    if scene == "beam-splitter":
-        g = ont.BS_CONTEXT
-        return {
-            ("plus", g, "3"): 1.0,
-            ("plus", g, "4"): 0.0,
-            ("minus", g, "3"): 0.0,
-            ("minus", g, "4"): 1.0,
-            ("psi1", g, "3"): 0.5,
-            ("psi1", g, "4"): 0.5,
-            ("psi2", g, "3"): 0.5,
-            ("psi2", g, "4"): 0.5,
-        }
-    if scene == "single-qubit-orthogonal":
-        c = SQO_CONTEXT
-        return {
-            ("psi1", c, "+"): 0.0,
-            ("psi1", c, "-"): 1.0,
-            ("psi2", c, "+"): 1.0,
-            ("psi2", c, "-"): 0.0,
-        }
-    raise NogoError(f"unknown scene {scene!r}")
+    """Quantum predictions reproduced by the scene's escape model, keyed
+    (preparation label, context, outcome); NogoError for an unknown scene."""
+    return dict(_escape(scene)[1])
 
 
 def determinism_check(model: ont.OntModel):

@@ -8,7 +8,8 @@ over lambda become weighted sums, so every prediction and every support
 check is an exact finite computation.  The support cutoff has one rule,
 ``support_mask``, which tests a whole stack of densities row by row.  The
 constructors reject NaN wherever they check a bound: every check is written
-so that a comparison with NaN fails it.
+so that a comparison with NaN fails it.  The module holds only generic model
+machinery; the scene-specific escape models live in ``nogo``.
 """
 
 from __future__ import annotations
@@ -258,66 +259,6 @@ def classify(model: OntModel) -> PsiClass:
             if overlap(model.preparations[a], model.preparations[b]) > 0.0:
                 return PsiClass.PSI_EPISTEMIC
     return PsiClass.PSI_ONTIC
-
-
-# ---------------------------------------------------------------------------
-# Beam-splitter model
-# ---------------------------------------------------------------------------
-
-BS_CONTEXT = "gates"
-BS_OUTCOMES = ("3", "4")
-BS_CELLS_PER_GATE = 4
-
-
-def build_beam_splitter_model() -> OntModel:
-    """Deterministic contextual model of a 50-50 beam splitter.
-
-    Lambda is the packet coordinate: two disjoint regions, one per input
-    gate.  Preparations entering a single gate are uniform on their region;
-    the two phased superpositions are uniform on both.  Responses are
-    conditioned on the preparation: superposition '+' sends every lambda to
-    exit 3 and '-' to exit 4, while single-gate preparations split their
-    region in half by coordinate order (lower half to exit 3).  The choice
-    of which half goes where is conventional; any fixed deterministic
-    partition reproduces the 50-50 statistics.
-    """
-    cells_per_gate = BS_CELLS_PER_GATE
-    m = 2 * cells_per_gate
-    width = 1.0 / cells_per_gate
-    coords = np.concatenate(
-        [
-            -2.0 + width * (np.arange(cells_per_gate) + 0.5),
-            1.0 + width * (np.arange(cells_per_gate) + 0.5),
-        ]
-    )
-    space = LambdaSpace(weights=np.full(m, width), coords=coords)
-    gate1 = np.arange(cells_per_gate)
-    gate2 = np.arange(cells_per_gate, m)
-
-    preparations = {
-        "psi1": uniform_density(space, "psi1", gate1),
-        "psi2": uniform_density(space, "psi2", gate2),
-        "plus": uniform_density(space, "plus", np.arange(m)),
-        "minus": uniform_density(space, "minus", np.arange(m)),
-    }
-
-    all_to3 = np.vstack([np.ones(m), np.zeros(m)])
-    all_to4 = np.vstack([np.zeros(m), np.ones(m)])
-    # Lower coordinate half of each region exits at gate 3.
-    half = cells_per_gate // 2
-    to3 = np.zeros(m, dtype=bool)
-    to3[:half] = True
-    to3[cells_per_gate : cells_per_gate + half] = True
-    split = np.vstack([to3.astype(float), (~to3).astype(float)])
-
-    tables = {
-        ("plus", BS_CONTEXT): all_to3,
-        ("minus", BS_CONTEXT): all_to4,
-        ("psi1", BS_CONTEXT): split,
-        ("psi2", BS_CONTEXT): split,
-    }
-    response = ContextualResponse(BS_OUTCOMES, tables)
-    return OntModel(space, preparations, response)
 
 
 # ---------------------------------------------------------------------------

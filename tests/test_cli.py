@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import psilab
-from psilab import cli
+from psilab import cli, nogo
 
 
 # config_hash of the runs below, pinned: a change to which options are hashed,
@@ -73,6 +73,13 @@ class TestPbrCheck:
         assert payload["certificate_margin"] is None
         assert payload["config_hash"] == CONFIG_HASH["pbr-check-disjoint"]
 
+    @pytest.mark.parametrize("scene", ["overlap", "n3"])
+    def test_disjoint_supports_expect_feasible(self, tmp_path, scene):
+        argv = ["pbr-check", "--scene", scene, "--shared", "0"]
+        assert run([*argv, "--out", str(tmp_path)]) == 0
+        payload = load(tmp_path / "pbr_check.json")
+        assert payload["status"] == payload["expected_status"] == "FEASIBLE"
+
     @pytest.mark.parametrize("args", [
         ["--shared", "-1"],
         ["--cells-per-support", "0"],
@@ -135,6 +142,15 @@ class TestEscapeDemo:
             assert rep["max_pairwise_overlap"] > 0
         assert (tmp_path / "escape_beam-splitter.json").exists()
         assert payload["config_hash"] == CONFIG_HASH["escape-demo"]
+
+    @pytest.mark.parametrize("scene", list(nogo.ESCAPE_SCENES))
+    def test_single_scene(self, tmp_path, scene):
+        assert run(["escape-demo", "--scene", scene, "--out", str(tmp_path)]) == 0
+        assert set(os.listdir(tmp_path)) == {"escape_demo.json",
+                                             f"escape_{scene}.json"}
+        payload = load(tmp_path / "escape_demo.json")
+        assert list(payload["scenes"]) == [scene]
+        assert payload["scenes"][scene]["passed"]
 
 
 class TestBohmSg:

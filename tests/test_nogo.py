@@ -104,7 +104,7 @@ class TestAnalyticContradiction:
         assert isinstance(cert, nogo.ContradictionCertificate)
 
     def test_contextual_model_rejected(self):
-        model = ont.build_beam_splitter_model()
+        model = nogo.contextual_escape("beam-splitter")
         with pytest.raises(nogo.ContextualModelError):
             nogo.analytic_contradiction(model, [])
 
@@ -112,6 +112,11 @@ class TestAnalyticContradiction:
         nogo.ZeroConstraint(0, (0,), 0.0),  # arity 1 against a 2-copy model
         nogo.ZeroConstraint(4, (0, 0), 0.0),  # the model has 4 outcomes
         nogo.ZeroConstraint(-1, (0, 0), 0.0),
+        # The model has 2 preparations: indices outside [0, 2) are rejected,
+        # negative ones included (they would read as the last preparation).
+        nogo.ZeroConstraint(0, (0, 5), 0.0),
+        nogo.ZeroConstraint(0, (0, -1), 0.0),
+        nogo.ZeroConstraint(0, (-2, -2), 0.0),
     ])
     def test_constraint_not_fitting_model_rejected(self, z):
         with pytest.raises(nogo.NogoError):
@@ -210,6 +215,14 @@ class TestLpFeasibility:
         for (i, (j, k)), value in prob.born.items():
             got = float(rho_w[j] @ rep.witness[i] @ rho_w[k])
             assert abs(got - value) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_problem_zeros_are_the_zero_constraints(self, n):
+        states = list(qcore.make_qubit_pair(np.pi / 4))
+        basis = qcore.pbr_basis_n(np.pi / 4, n)
+        prob = nogo.pbr_scene_problem(4, 2, n=n, basis=basis, states=states)
+        assert list(prob.zeros) == nogo.zero_constraints(states, basis)
+        assert len(prob.zeros) == 2**n
 
     def test_no_reproduction_constraints_feasible(self):
         space = ont.LambdaSpace(weights=np.ones(3))
@@ -512,7 +525,7 @@ class TestDisjointModel:
 
 
 class TestContextualEscape:
-    @pytest.mark.parametrize("scene", ["beam-splitter", "single-qubit-orthogonal"])
+    @pytest.mark.parametrize("scene", list(nogo.ESCAPE_SCENES))
     def test_escape_validity(self, scene):
         model = nogo.contextual_escape(scene)
         assert ont.classify(model) is PsiClass.PSI_EPISTEMIC
@@ -534,11 +547,14 @@ class TestContextualEscape:
     def test_unknown_scene(self):
         with pytest.raises(nogo.NogoError):
             nogo.contextual_escape("nope")
+        with pytest.raises(nogo.NogoError):
+            nogo.scene_born("nope")
 
 
 class TestDeterminismCheck:
     def test_beam_splitter_deterministic(self):
-        ok, offenders = nogo.determinism_check(ont.build_beam_splitter_model())
+        ok, offenders = nogo.determinism_check(
+            nogo.contextual_escape("beam-splitter"))
         assert ok and offenders == []
 
     def test_uniform_response_all_offending(self):

@@ -4,13 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from psilab import ontology as ont
+from psilab import nogo, ontology as ont
 from psilab.ontology import PsiClass
 
 
 @pytest.fixture
 def bs_model():
-    return ont.build_beam_splitter_model()
+    return nogo.contextual_escape("beam-splitter")
 
 
 def simple_space(m=4):

@@ -41,6 +41,10 @@ CASES = {
     "pbr-check-n3-theta": ["pbr-check", "--scene", "n3", "--theta", "1.2"],
     "pbr-check-overlap-shared1": ["pbr-check", "--scene", "overlap",
                                   "--shared", "1"],
+    # Disjoint supports on the overlap and 3-copy scenes: FEASIBLE expected.
+    "pbr-check-overlap-shared0": ["pbr-check", "--scene", "overlap",
+                                  "--shared", "0"],
+    "pbr-check-n3-shared0": ["pbr-check", "--scene", "n3", "--shared", "0"],
     "escape-demo": ["escape-demo"],
     "selftest": ["selftest"],
 }

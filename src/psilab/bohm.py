@@ -44,7 +44,7 @@ into an OUTCOME_* value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 # perfbench/tracing.py wraps `bohm.solve_banded` by attribute name and fails
@@ -571,13 +571,10 @@ BS_PREPS = ("psi1", "psi2", "plus", "minus")
 
 def beam_splitter_config() -> SternGerlachConfig:
     """Scene geometry: two counter-propagating packets meeting a thin barrier."""
-    cells = 1024
-    x = -20.0 + (np.arange(cells) + 0.5) * (40.0 / cells)
-    barrier = BARRIER_HEIGHT * np.exp(-(x**2) / (2.0 * BARRIER_WIDTH**2))
-    return SternGerlachConfig(
-        x_min=-20.0, x_max=20.0, cells=cells, dt=1e-3, t_final=4.0,
-        b1=0.0, static_potential=barrier,
-    )
+    grid = SternGerlachConfig(x_min=-20.0, x_max=20.0, cells=1024, dt=1e-3,
+                              t_final=4.0, b1=0.0)
+    barrier = BARRIER_HEIGHT * np.exp(-(grid.x**2) / (2.0 * BARRIER_WIDTH**2))
+    return replace(grid, static_potential=barrier)
 
 
 def prepare_beam_splitter(config: SternGerlachConfig, prep: str) -> SpinorField:
@@ -641,10 +638,10 @@ def bohm_ont_model(thetas=(np.pi / 3, np.pi / 2)) -> ontology.OntModel:
     """View the simulator as a finite hidden-variable model.
 
     The hidden variable is the initial-position cell; each preparation angle
-    shares the same spatial density but gets its own deterministic response
-    column, read off from the trajectory launched at the cell center and
-    classified by the sign of its final position, on the default analyzer;
-    the tables sit under the context "spin-z".
+    shares the same spatial density but gets its own route: each cell goes to
+    the outcome ("+" for x > 0, else "-") of the trajectory launched at the
+    cell center, on the default analyzer, and ``ontology.routed_response``
+    turns the routes into tables under the context "spin-z".
     """
     config = SternGerlachConfig()
     packet = prepare(config, 0.0)
@@ -657,21 +654,16 @@ def bohm_ont_model(thetas=(np.pi / 3, np.pi / 2)) -> ontology.OntModel:
     values = rho0[cells] / (np.sum(rho0[cells]) * config.dx)
 
     preparations = {}
-    tables = {}
+    routes = {}
     for theta in thetas:
         label = f"theta={theta:.6f}"
         preparations[label] = ontology.PreparationDensity(
             space=space, label=label, values=values.copy()
         )
-        record = simulate(config, theta)
-        ens = integrate_ensemble(record, centers)
-        plus = ens.final_x > 0
-        table = np.zeros((2, len(cells)))
-        table[0, plus] = 1.0
-        table[1, ~plus] = 1.0
-        tables[(label, "spin-z")] = table
+        ens = integrate_ensemble(simulate(config, theta), centers)
+        routes[(label, "spin-z")] = np.where(ens.final_x > 0, 0, 1)
 
-    response = ontology.ContextualResponse(outcomes=("+", "-"), tables=tables)
+    response = ontology.routed_response(("+", "-"), routes)
     return ontology.OntModel(space, preparations, response, product_arity=1)
 
 

@@ -12,8 +12,13 @@ A psi-ontic model with disjoint supports needs no construction here: the
 witness of a FEASIBLE verdict on disjoint supports is its response.
 Each scene fact is stated once: ``_zero_set`` is the one selection of the
 Born values below ZERO_TOL (``zero_constraints`` and ``FeasibilityProblem.
-zeros``), and ``ESCAPE_SCENES`` maps each escape scene to its model builder
-and the Born values that model must reproduce.
+zeros``), and ``ESCAPE_SCENES`` holds each escape scene as data (outcomes,
+context, cells, and per preparation its support, route and Born values),
+which the one builder ``contextual_escape`` turns into a model through
+``ontology.routed_response``.
+An INFEASIBLE verdict rests on a Farkas vector repaired to A^T y <= 0 before
+``is_farkas`` checks its margin, so a dual whose small positive A^T y could
+hide a feasible system is never the evidence.
 """
 
 from __future__ import annotations
@@ -291,7 +296,7 @@ class FeasibilityReport:
     certificate: ContradictionCertificate | NoContradiction | None
     residual: float
     iterations: int
-    farkas: np.ndarray | None  # checked dual y: A^T y <= LP_TOL, b^T y > LP_TOL
+    farkas: np.ndarray | None  # checked dual y: A^T y <= 0, b^T y > LP_TOL
     certificate_margin: float | None  # b^T y of the Farkas vector
 
 
@@ -300,11 +305,16 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
 
     Feasible: returns the response table found by the solver, whose residual
     against the equalities was checked to be within simplex.LP_TOL.
-    Infeasible: returns the Farkas vector y checked in numpy (max A^T y <=
-    LP_TOL, margin b^T y > LP_TOL); the residual is the phase-1 optimum, and
-    the closed-form forcing verdict is attached as a cross-check.  y is the
-    solver's duals or, when they fail the check, PBR's closed-form vector
-    (forcing weights, then -1 on the zero rows).  Else indeterminate.
+    Infeasible: returns a Farkas vector y with A^T y <= 0 up to round-off and
+    margin b^T y > LP_TOL, checked in numpy; the residual is the phase-1
+    optimum, and the closed-form forcing verdict is attached as a
+    cross-check.  y is the solver's duals or, when they fail the check,
+    PBR's closed-form vector (forcing weights, then -1 on the zero rows),
+    each first repaired: every column meets exactly one normalization row,
+    with coefficient 1, so taking eps = max(0, max A^T y) off the N
+    normalization components gives A^T y <= 0.  A feasible x has sum(x) = N
+    and b^T y = x^T A^T y, so the repaired margin b^T y - N eps is what y
+    proves.  Else indeterminate.
     """
     res = phase1(problem.a_eq, problem.b_eq)
     if res.status is LpStatus.FEASIBLE:
@@ -315,15 +325,18 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
         )
     y_norm, forcing = _forcing(problem.densities, problem.cells, problem.zeros,
                                problem.n_outcomes, problem.arity)
-    y = res.y
-    if res.status is LpStatus.INDETERMINATE:  # Born values follow y_norm in b_eq
-        y = np.append(y_norm, np.where(problem.b_eq[len(y_norm):] < ZERO_TOL, -1.0, 0.0))
-    if res.status is LpStatus.INFEASIBLE or is_farkas(problem.a_eq, problem.b_eq, y):
-        return FeasibilityReport(
-            LpStatus.INFEASIBLE, None, forcing, res.objective, res.iterations, y,
-            float(problem.b_eq @ y),
-        )
-    return FeasibilityReport(res.status, None, None, np.nan, res.iterations, None, None)
+    # Born values follow y_norm in b_eq.
+    closed = np.append(y_norm, np.where(problem.b_eq[len(y_norm):] < ZERO_TOL, -1.0, 0.0))
+    normalization = np.arange(problem.b_eq.size) < len(y_norm)
+    for y in ([] if res.y is None else [res.y]) + [closed]:
+        y = y - normalization * max(0.0, float(np.max(problem.a_eq.T @ y)))
+        if is_farkas(problem.a_eq, problem.b_eq, y):
+            return FeasibilityReport(
+                LpStatus.INFEASIBLE, None, forcing, res.objective, res.iterations, y,
+                float(problem.b_eq @ y),
+            )
+    return FeasibilityReport(LpStatus.INDETERMINATE, None, None, np.nan,
+                             res.iterations, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -331,93 +344,34 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
 # ---------------------------------------------------------------------------
 
 
-BS_CONTEXT = "gates"
-BS_OUTCOMES = ("3", "4")
-BS_CELLS_PER_GATE = 4
-SQO_CONTEXT = "pm"
-SQO_OUTCOMES = ("+", "-")
-
-
-def _beam_splitter_model() -> ont.OntModel:
-    """Deterministic contextual model of a 50-50 beam splitter.
-
-    Lambda is the packet coordinate: two disjoint regions, one per input
-    gate.  Preparations entering a single gate are uniform on their region;
-    the two phased superpositions are uniform on both.  Responses are
-    conditioned on the preparation: superposition '+' sends every lambda to
-    exit 3 and '-' to exit 4, while single-gate preparations split their
-    region in half by coordinate order (lower half to exit 3).  The choice
-    of which half goes where is conventional; any fixed deterministic
-    partition reproduces the 50-50 statistics.
-    """
-    cells_per_gate = BS_CELLS_PER_GATE
-    m = 2 * cells_per_gate
-    width = 1.0 / cells_per_gate
-    centers = width * (np.arange(cells_per_gate) + 0.5)
-    coords = np.concatenate([-2.0 + centers, 1.0 + centers])
-    space = ont.LambdaSpace(weights=np.full(m, width), coords=coords)
-    preparations = {
-        "psi1": ont.uniform_density(space, "psi1", np.arange(cells_per_gate)),
-        "psi2": ont.uniform_density(space, "psi2", np.arange(cells_per_gate, m)),
-        "plus": ont.uniform_density(space, "plus", np.arange(m)),
-        "minus": ont.uniform_density(space, "minus", np.arange(m)),
-    }
-
-    all_to3 = np.vstack([np.ones(m), np.zeros(m)])
-    all_to4 = np.vstack([np.zeros(m), np.ones(m)])
-    # Lower coordinate half of each region exits at gate 3.
-    half = cells_per_gate // 2
-    to3 = np.zeros(m, dtype=bool)
-    to3[:half] = True
-    to3[cells_per_gate : cells_per_gate + half] = True
-    split = np.vstack([to3.astype(float), (~to3).astype(float)])
-
-    tables = {
-        ("plus", BS_CONTEXT): all_to3,
-        ("minus", BS_CONTEXT): all_to4,
-        ("psi1", BS_CONTEXT): split,
-        ("psi2", BS_CONTEXT): split,
-    }
-    response = ont.ContextualResponse(BS_OUTCOMES, tables)
-    return ont.OntModel(space, preparations, response)
-
-
-def _single_qubit_orthogonal_model() -> ont.OntModel:
-    """Two orthogonal preparations sharing one uniform lambda distribution;
-    the response conditioned on the preparation routes every lambda to the
-    certain outcome."""
-    m = 4
-    space = ont.LambdaSpace(weights=np.full(m, 0.25))
-    preps = {
-        "psi1": ont.uniform_density(space, "psi1", np.arange(m)),
-        "psi2": ont.uniform_density(space, "psi2", np.arange(m)),
-    }
-    all_minus = np.vstack([np.zeros(m), np.ones(m)])
-    all_plus = np.vstack([np.ones(m), np.zeros(m)])
-    resp = ont.ContextualResponse(SQO_OUTCOMES, {("psi1", SQO_CONTEXT): all_minus,
-                                                 ("psi2", SQO_CONTEXT): all_plus})
-    return ont.OntModel(space, preps, resp)
-
-
-# Each escape scene: its model builder, and the quantum predictions that
-# model must reproduce, keyed (preparation label, context, outcome).
+# Each escape scene as data: (outcomes, context, cell weights, cell coordinates
+# or None, preparations).  Each preparation label maps to the support cells of
+# its uniform density, its route (the outcome index of every cell, for
+# ``ontology.routed_response``) and the Born value of each outcome, which the
+# model must reproduce.
+_BS_SPLIT = (0, 0, 1, 1, 0, 0, 1, 1)
 ESCAPE_SCENES = {
-    "beam-splitter": (_beam_splitter_model, {
-        ("plus", BS_CONTEXT, "3"): 1.0,
-        ("plus", BS_CONTEXT, "4"): 0.0,
-        ("minus", BS_CONTEXT, "3"): 0.0,
-        ("minus", BS_CONTEXT, "4"): 1.0,
-        ("psi1", BS_CONTEXT, "3"): 0.5,
-        ("psi1", BS_CONTEXT, "4"): 0.5,
-        ("psi2", BS_CONTEXT, "3"): 0.5,
-        ("psi2", BS_CONTEXT, "4"): 0.5,
-    }),
-    "single-qubit-orthogonal": (_single_qubit_orthogonal_model, {
-        ("psi1", SQO_CONTEXT, "+"): 0.0,
-        ("psi1", SQO_CONTEXT, "-"): 1.0,
-        ("psi2", SQO_CONTEXT, "+"): 1.0,
-        ("psi2", SQO_CONTEXT, "-"): 0.0,
-    }),
+    # Lambda is the packet coordinate: four cells of width 0.25 per input
+    # gate, centred in [-2, -1] and [1, 2].  Single-gate preparations are
+    # uniform on their gate and send the lower coordinate half of it to exit
+    # 3 (any fixed deterministic half-split reproduces 50-50); the phased
+    # superpositions '+' and '-' are uniform on both gates and send every
+    # cell to exit 3 and 4 respectively.
+    "beam-splitter": (
+        ("3", "4"), "gates", (0.25,) * 8,
+        (-1.875, -1.625, -1.375, -1.125, 1.125, 1.375, 1.625, 1.875), {
+            "psi1": (range(4), _BS_SPLIT, (0.5, 0.5)),
+            "psi2": (range(4, 8), _BS_SPLIT, (0.5, 0.5)),
+            "plus": (range(8), (0,) * 8, (1.0, 0.0)),
+            "minus": (range(8), (1,) * 8, (0.0, 1.0)),
+        }),
+    # Two orthogonal preparations share one uniform lambda distribution, and
+    # each routes every cell to its certain outcome.
+    "single-qubit-orthogonal": (
+        ("+", "-"), "pm", (0.25,) * 4, None, {
+            "psi1": (range(4), (1,) * 4, (0.0, 1.0)),
+            "psi2": (range(4), (0,) * 4, (1.0, 0.0)),
+        }),
 }
 
 
@@ -430,14 +384,23 @@ def _escape(scene: str):
 
 def contextual_escape(scene: str) -> ont.OntModel:
     """Deterministic contextual model with overlapping supports for a scene
-    of ESCAPE_SCENES; NogoError for any other name."""
-    return _escape(scene)[0]()
+    of ESCAPE_SCENES, its responses routed by ``ontology.routed_response``;
+    NogoError for any other name."""
+    outcomes, context, weights, coords, rows = _escape(scene)
+    space = ont.LambdaSpace(weights=weights, coords=coords)
+    preps = {label: ont.uniform_density(space, label, cells)
+             for label, (cells, _, _) in rows.items()}
+    response = ont.routed_response(
+        outcomes, {(label, context): route for label, (_, route, _) in rows.items()})
+    return ont.OntModel(space, preps, response)
 
 
 def scene_born(scene: str) -> dict:
     """Quantum predictions reproduced by the scene's escape model, keyed
     (preparation label, context, outcome); NogoError for an unknown scene."""
-    return dict(_escape(scene)[1])
+    outcomes, context, _, _, rows = _escape(scene)
+    return {(label, context, outcome): p for label, (_, _, born) in rows.items()
+            for outcome, p in zip(outcomes, born)}
 
 
 def determinism_check(model: ont.OntModel):
@@ -454,10 +417,7 @@ def determinism_check(model: ont.OntModel):
         tables = sorted(resp.tables.items())
     offenders = []
     for key, table in tables:
-        it = np.nditer(table, flags=["multi_index"])
-        for v in it:
-            val = float(v)
-            if min(val, 1.0 - val) > DETERMINISM_TOL:
-                outcome = resp.outcomes[it.multi_index[0]]
-                offenders.append((key + (outcome,) + it.multi_index[1:], val))
+        for idx in np.argwhere(np.minimum(table, 1.0 - table) > DETERMINISM_TOL):
+            i = tuple(idx.tolist())
+            offenders.append((key + (resp.outcomes[i[0]],) + i[1:], float(table[i])))
     return len(offenders) == 0, offenders

@@ -8,8 +8,11 @@ over lambda become weighted sums, so every prediction and every support
 check is an exact finite computation.  The support cutoff has one rule,
 ``support_mask``, which tests a whole stack of densities row by row.  The
 constructors reject NaN wherever they check a bound: every check is written
-so that a comparison with NaN fails it.  The module holds only generic model
-machinery; the scene-specific escape models live in ``nogo``.
+so that a comparison with NaN fails it.  A deterministic contextual response
+has one rule, ``routed_response``: each (preparation, context) routes every
+cell to one outcome index, and the one-hot tables follow.  The module holds
+only generic model machinery; the scene-specific escape models live in
+``nogo`` as data, and the Bohmian export in ``bohm``.
 """
 
 from __future__ import annotations
@@ -163,6 +166,28 @@ class ContextualResponse:
         object.__setattr__(self, "tables", checked)
 
 
+def routed_response(outcomes, routes: dict) -> ContextualResponse:
+    """Deterministic contextual response from one route per table.
+
+    ``routes`` maps (preparation label, context label) to the outcome index
+    of every lambda cell; the table puts probability 1 on that outcome.
+    Raises OntologyError unless each route is a nonempty 1-D array of
+    integers in [0, len(outcomes)): NumPy indexing would read -1 as the last
+    outcome.
+    """
+    outcomes = tuple(outcomes)
+    rows = np.arange(len(outcomes))[:, None]
+    tables = {}
+    for key, route in routes.items():
+        r = np.asarray(route)
+        if not (r.ndim == 1 and r.size and r.dtype.kind in "iu"
+                and r.min() >= 0 and r.max() < len(outcomes)):
+            raise OntologyError(f"route for {key} is not a 1-D array of "
+                                f"outcome indices in [0, {len(outcomes)})")
+        tables[key] = (rows == r).astype(float)
+    return ContextualResponse(outcomes, tables)
+
+
 @dataclass(frozen=True)
 class OntModel:
     space: LambdaSpace
@@ -177,9 +202,12 @@ class OntModel:
             ):
                 raise SpaceMismatch(f"density {label!r} lives on a different space")
         if isinstance(self.response, ContextualResponse):
-            for prep, _ctx in self.response.tables:
+            for (prep, _ctx), t in self.response.tables.items():
                 if prep not in self.preparations:
                     raise UnknownLabel(prep)
+                if t.shape[1] != self.space.size:
+                    raise SpaceMismatch(f"response table for {prep!r} does "
+                                        "not match lambda space")
             if self.product_arity != 1:
                 raise OntologyError("contextual responses are single-system only")
         else:

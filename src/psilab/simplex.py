@@ -6,10 +6,15 @@ x = 0, s = |b| is always feasible), solved by scipy's HiGHS.  A verdict is
 accepted only after a numpy check that does not trust the solver:
 
 - FEASIBLE: the clipped witness x >= 0 satisfies ||A x - b||_inf <= LP_TOL;
-- INFEASIBLE: the phase-1 equality duals y form a Farkas certificate,
-  max(A^T y) <= LP_TOL and b^T y > LP_TOL (for x >= 0 with A x = b,
-  b^T y = x^T A^T y <= 0 up to LP_TOL);
+- INFEASIBLE: the phase-1 equality duals y pass ``is_farkas``,
+  max(A^T y) <= LP_TOL and b^T y > LP_TOL;
 - anything else is INDETERMINATE.
+
+The duals are returned whenever HiGHS solves the LP, whatever the verdict.
+``is_farkas`` alone proves infeasibility only when A^T y <= 0: for x >= 0
+with A x = b, b^T y = x^T A^T y <= sum(x) max(A^T y), so a positive
+max(A^T y) within LP_TOL can hide a feasible system.  A caller that knows
+how to bound sum(x) repairs y first (``nogo.lp_feasibility``).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ class LpStatus(Enum):
 class Phase1Result:
     status: LpStatus
     x: np.ndarray | None  # checked feasible point for the original variables
-    y: np.ndarray | None  # checked Farkas vector: A^T y <= LP_TOL, b^T y > LP_TOL
+    y: np.ndarray | None  # phase-1 equality duals, unchecked (None if feasible or failed)
     objective: float  # phase-1 optimum: sum of artificials
     iterations: int
 
@@ -69,6 +74,5 @@ def phase1(a, b: np.ndarray) -> Phase1Result:
     if np.max(np.abs(a @ x - b), initial=0.0) <= LP_TOL:
         return Phase1Result(LpStatus.FEASIBLE, x, None, res.fun, res.nit)
     y = np.asarray(res.eqlin.marginals, dtype=float)
-    if is_farkas(a, b, y):
-        return Phase1Result(LpStatus.INFEASIBLE, None, y, res.fun, res.nit)
-    return Phase1Result(LpStatus.INDETERMINATE, None, None, res.fun, res.nit)
+    status = LpStatus.INFEASIBLE if is_farkas(a, b, y) else LpStatus.INDETERMINATE
+    return Phase1Result(status, None, y, res.fun, res.nit)

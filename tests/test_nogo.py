@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from psilab import nogo, ontology as ont, qcore
 from psilab.ontology import PsiClass
-from psilab.simplex import LpStatus, phase1
+from psilab.simplex import LP_TOL, LpStatus, Phase1Result, is_farkas, phase1
+
+# Round-off allowed on A^T y <= 0 for a Farkas vector lp_feasibility returns.
+ROUND_OFF = 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +301,22 @@ def closed_form_farkas(prob):
     return np.concatenate([y_norm, rows])
 
 
+def random_problem(seed):
+    """A 1-copy universal-response problem with random sparse densities and
+    random Born values (the draw order fixes the problem for a seed)."""
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(50, 400)), int(rng.integers(2, 5))
+    space = ont.LambdaSpace(weights=np.full(m, 1.0 / m))
+    dens, born = [], {}
+    for j in range(k):
+        v = rng.random(m) ** 3 * (rng.random(m) < 0.7)
+        v[rng.integers(m)] += 0.1
+        dens.append(ont.PreparationDensity(space, f"p{j}", v / (v.sum() / m)))
+        p = float(np.sum(dens[-1].values * space.weights * (rng.random(m) < rng.random())))
+        born[(0, (j,))], born[(1, (j,))] = p, 1.0 - p
+    return nogo.build_feasibility_problem(space, dens, born, 2, 1)
+
+
 def assert_checked_evidence(prob, rep, tol=1e-9):
     """The verdict's witness or Farkas vector, and PBR's closed-form Farkas
     vector, re-checked in numpy; returns the closed-form margin b^T y at unit
@@ -319,7 +338,7 @@ def assert_checked_evidence(prob, rep, tol=1e-9):
     else:
         assert rep.status is LpStatus.INFEASIBLE
         y = rep.farkas
-        assert np.max(prob.a_eq.T @ y) <= tol
+        assert np.max(prob.a_eq.T @ y) <= ROUND_OFF  # repaired: A^T y <= 0
         assert rep.certificate_margin == pytest.approx(prob.b_eq @ y, abs=0)
         assert prob.b_eq @ y > tol
         assert rep.certificate.margin == np.sum(y_norm)
@@ -398,15 +417,42 @@ class TestCertificates:
         assert rep.status is want
         assert (assert_checked_evidence(prob, rep) > 1e-9) == bool(s1 & s2)
 
-    def test_duals_failing_the_check_fall_back_to_closed_form(self):
+    def test_duals_failing_the_check_are_repaired(self):
         """Found by the property above: HiGHS's duals have max A^T y = 1.8e-9
-        > LP_TOL, while PBR's closed-form vector certifies the overlap with
-        max A^T y = 0 and b^T y = 0.987."""
+        > LP_TOL at b^T y = 6.97.  Taking that off the 25 normalization
+        components gives A^T y <= 0 at margin 6.97 - 25 * 1.8e-9, which
+        certifies the overlap without PBR's closed-form vector (margin
+        0.987)."""
         prob = two_qubit_problem([63, 0.01, 1, 1, 0.01],
                                  {0: 5, 1: 1, 2: 1, 3: 1, 4: 1}, {0: 6, 1: 1})
         rep = nogo.lp_feasibility(prob)
         assert rep.status is LpStatus.INFEASIBLE
+        assert not np.array_equal(rep.farkas, closed_form_farkas(prob))
+        assert rep.certificate_margin == pytest.approx(6.9747, abs=1e-4)
         assert_checked_evidence(prob, rep)
+
+    def test_dual_that_proves_nothing_is_rejected(self, monkeypatch):
+        """y = 0.9 LP_TOL on each normalization row and 0 elsewhere passes
+        ``is_farkas`` on the FEASIBLE disjoint scene: max A^T y = 9e-10 and
+        b^T y = 64 * 9e-10.  But b^T y = x^T A^T y for any witness x, whose
+        64 tuples each sum to 1, so y proves nothing.  The repair leaves
+        margin 0, and the verdict is not INFEASIBLE."""
+        prob = nogo.pbr_scene_problem(4, 0)
+        y = np.zeros(prob.b_eq.size)
+        y[: len(prob.cells) ** prob.arity] = 0.9 * LP_TOL
+        assert is_farkas(prob.a_eq, prob.b_eq, y)
+        monkeypatch.setattr(nogo, "phase1", lambda a, b: Phase1Result(
+            LpStatus.INFEASIBLE, None, y, 1.0, 0))
+        assert nogo.lp_feasibility(prob).status is LpStatus.INDETERMINATE
+
+    def test_near_feasible_random_problem_not_infeasible(self):
+        """A seeded random 1-copy problem (309 x 602, 301 tuples) that HiGHS
+        calls INFEASIBLE with margin 1.1e-9 at max A^T y = 6.1e-10; at
+        feasibility tolerances of 1e-10 it is FEASIBLE with residual 6.2e-10.
+        The repaired margin is negative, so the duals certify nothing."""
+        prob = random_problem(4)
+        assert phase1(prob.a_eq, prob.b_eq).status is LpStatus.INFEASIBLE
+        assert nogo.lp_feasibility(prob).status is not LpStatus.INFEASIBLE
 
     @pytest.mark.parametrize("shared, corrupt", [
         (2, lambda res: setattr(res.eqlin, "marginals", -res.eqlin.marginals)),
@@ -418,13 +464,17 @@ class TestCertificates:
         self, monkeypatch, shared, corrupt
     ):
         """Solver output that fails its check is never the evidence.  With
-        disjoint supports the verdict is INDETERMINATE; with overlapping ones
-        it rests on PBR's closed-form Farkas vector instead of the duals."""
+        disjoint supports the verdict is INDETERMINATE.  With overlapping
+        ones it rests on the repaired duals when they pass the check (duals
+        shifted up by 1e-6: the repair takes the shift off A^T y) and on
+        PBR's closed-form Farkas vector otherwise (negated duals)."""
         real = scipy.optimize.linprog
+        seen = {}
 
         def bad_linprog(*args, **kwargs):
             res = real(*args, **kwargs)
             corrupt(res)
+            seen["y"] = np.asarray(res.eqlin.marginals, dtype=float)
             return res
 
         monkeypatch.setattr(scipy.optimize, "linprog", bad_linprog)
@@ -433,7 +483,14 @@ class TestCertificates:
         assert rep.witness is None
         if shared:
             assert rep.status is LpStatus.INFEASIBLE
-            assert np.array_equal(rep.farkas, closed_form_farkas(prob))
+            y = seen["y"]
+            eps = max(0.0, float(np.max(prob.a_eq.T @ y)))
+            repaired = y - eps * (np.arange(y.size) < len(prob.cells) ** prob.arity)
+            closed = closed_form_farkas(prob)
+            want = repaired if is_farkas(prob.a_eq, prob.b_eq, repaired) else closed
+            assert np.array_equal(rep.farkas, want)
+            assert not np.array_equal(rep.farkas, y)
+            assert np.max(prob.a_eq.T @ rep.farkas) <= ROUND_OFF
             assert_checked_evidence(prob, rep)
         else:
             assert rep.status is LpStatus.INDETERMINATE

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psilab import nogo, ontology as ont
 from psilab.ontology import PsiClass
@@ -66,6 +67,45 @@ class TestTypes:
     def test_response_normalization_rejected(self):
         with pytest.raises(ont.OntologyError):
             ont.UniversalResponse(("a", "b"), np.array([[0.5, 0.5], [0.4, 0.5]]))
+
+
+class TestRoutedResponse:
+    @pytest.mark.parametrize("route", [[0, -1], [0, 2], [0, 0.5], [0.0, 1.0],
+                                       [True, False], [], [[0, 1]]])
+    def test_bad_route_rejected(self, route):
+        with pytest.raises(ont.OntologyError):
+            ont.routed_response(("a", "b"), {("p", "c"): route})
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 8), k=st.integers(1, 4), data=st.data())
+    def test_routed_model_is_deterministic_and_predicts_routed_mass(self, m, k, data):
+        weights = np.array(data.draw(st.lists(st.floats(1e-2, 1e2), min_size=m,
+                                              max_size=m)))
+        space = ont.LambdaSpace(weights=weights)
+        cells = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+        outcomes = tuple(f"o{i}" for i in range(k))
+        routes = {(label, "c"): np.array(data.draw(st.lists(
+            st.integers(0, k - 1), min_size=m, max_size=m))) for label in "pq"}
+        model = ont.OntModel(
+            space, {label: ont.uniform_density(space, label, cells) for label in "pq"},
+            ont.routed_response(outcomes, routes))
+        assert nogo.determinism_check(model) == (True, [])
+        for (label, ctx), route in routes.items():
+            rho_w = model.preparations[label].values * weights
+            for i, outcome in enumerate(outcomes):
+                assert ont.predict(model, label, ctx, outcome) == pytest.approx(
+                    float(np.sum(rho_w[route == i])), abs=1e-12)
+
+    @pytest.mark.parametrize("response", [
+        ont.ContextualResponse(("a", "b"), {("p", "c"): np.array([[1.0, 0.0, 1.0],
+                                                              [0.0, 1.0, 0.0]])}),
+        ont.routed_response(("a", "b"), {("p", "c"): [0, 1, 0]}),
+    ], ids=["table", "route"])
+    def test_width_must_match_space(self, response):
+        space = ont.LambdaSpace(weights=np.full(4, 0.25))
+        with pytest.raises(ont.SpaceMismatch):
+            ont.OntModel(space, {"p": ont.uniform_density(space, "p", [0, 1])},
+                         response)
 
 
 class TestPredict:

@@ -46,6 +46,9 @@ CASES = {
                                   "--shared", "0"],
     "pbr-check-n3-shared0": ["pbr-check", "--scene", "n3", "--shared", "0"],
     "escape-demo": ["escape-demo"],
+    # One scene at a time: the single-scene path through the escape builder.
+    **{f"escape-demo-{scene}": ["escape-demo", "--scene", scene]
+       for scene in ("beam-splitter", "single-qubit-orthogonal")},
     "selftest": ["selftest"],
 }
 

@@ -451,9 +451,12 @@ def integrate_ensemble(record: EvolutionRecord, x0s) -> EnsembleTrajectories:
 
 
 def sample_initial(field0: SpinorField, n: int, seed: int) -> np.ndarray:
-    """Inverse-CDF samples from |psi(0)|^2 using a seeded PCG64 stream."""
+    """Inverse-CDF samples from |psi(0)|^2 using a seeded PCG64 stream;
+    DomainError for n < 1 or a negative seed."""
     if n < 1:
         raise DomainError(f"need at least one sample, got n={n}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got seed={seed}")
     cdf = _cdf(field0.rho(), field0.dx)
     rng = np.random.Generator(np.random.PCG64(seed))
     return np.interp(rng.random(n), cdf, _edges(field0.x, field0.dx))

@@ -16,7 +16,8 @@ zeros``), and ``ESCAPE_SCENES`` holds each escape scene as data (outcomes,
 context, cells, and per preparation its support, route and Born values),
 which the one builder ``contextual_escape`` turns into a model through
 ``ontology.routed_response``.
-An INFEASIBLE verdict rests on a Farkas vector repaired to A^T y <= 0 before
+``lp_feasibility`` alone judges an LP (``simplex.phase1`` only answers).  An
+INFEASIBLE verdict rests on a Farkas vector repaired to A^T y <= 0 before
 ``is_farkas`` checks its margin, so a dual whose small positive A^T y could
 hide a feasible system is never the evidence.
 """
@@ -31,7 +32,7 @@ from scipy import sparse
 
 from . import ontology as ont
 from . import qcore
-from .simplex import LpStatus, is_farkas, phase1
+from .simplex import LP_TOL, LpStatus, is_farkas, phase1
 
 ZERO_TOL = 1e-10
 # A response entry within this of 0 or 1 counts as deterministic.
@@ -301,7 +302,7 @@ class FeasibilityReport:
 
 
 def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
-    """Phase-1 feasibility decision with checked evidence.
+    """The one judge of a no-go LP: ``phase1``'s answer in, checked verdict out.
 
     Feasible: returns the response table found by the solver, whose residual
     against the equalities was checked to be within simplex.LP_TOL.
@@ -317,12 +318,12 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
     proves.  Else indeterminate.
     """
     res = phase1(problem.a_eq, problem.b_eq)
-    if res.status is LpStatus.FEASIBLE:
-        xi = res.x.reshape(problem.n_outcomes, *[len(problem.cells)] * problem.arity)
+    if res.x is not None:
         residual = float(np.max(np.abs(problem.a_eq @ res.x - problem.b_eq)))
-        return FeasibilityReport(
-            res.status, xi, None, residual, res.iterations, None, None
-        )
+        if residual <= LP_TOL:
+            xi = res.x.reshape(problem.n_outcomes, *[len(problem.cells)] * problem.arity)
+            return FeasibilityReport(LpStatus.FEASIBLE, xi, None, residual,
+                                     res.iterations, None, None)
     y_norm, forcing = _forcing(problem.densities, problem.cells, problem.zeros,
                                problem.n_outcomes, problem.arity)
     # Born values follow y_norm in b_eq.

@@ -49,7 +49,7 @@ class QState:
                 f"amplitude vector of length {amps.shape} does not match dims={self.dims}"
             )
         norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > CONSTRUCTION_TOL:
+        if not abs(norm2 - 1.0) <= CONSTRUCTION_TOL:
             raise DomainError(f"state not normalized: sum |amps|^2 = {norm2!r}")
         object.__setattr__(self, "amps", amps)
 
@@ -61,11 +61,12 @@ class QState:
 
 
 def make_state(amps) -> QState:
-    """Build a QState from an amplitude vector, normalizing it."""
+    """Build a QState from an amplitude vector, normalizing it; DomainError
+    for a zero or non-finite norm."""
     amps = np.asarray(amps, dtype=complex)
     norm = np.linalg.norm(amps)
-    if norm == 0.0:
-        raise DomainError("zero amplitude vector")
+    if not 0.0 < norm < np.inf:
+        raise DomainError(f"amplitude vector norm {norm!r} is not finite and positive")
     n = int(round(np.log2(amps.size)))
     if 2**n != amps.size:
         raise DomainError(f"amplitude vector length {amps.size} is not a power of two")
@@ -144,7 +145,7 @@ class MeasurementBasis:
             if v.dims != self.dims:
                 raise DimensionMismatch("basis vector with wrong qubit count")
         g = self.gram()
-        if np.max(np.abs(g - np.eye(d))) > VERIFICATION_TOL:
+        if not np.max(np.abs(g - np.eye(d))) <= VERIFICATION_TOL:
             raise DomainError("basis vectors are not orthonormal")
 
     def gram(self) -> np.ndarray:

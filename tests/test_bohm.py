@@ -370,6 +370,12 @@ class TestSampling:
         with pytest.raises(DomainError):
             bohm.sample_initial(f, 0, seed=1)
 
+    def test_negative_seed_rejected(self, default_config):
+        """PCG64 takes no negative seed; the domain check says so first."""
+        f = bohm.prepare(default_config, 0.0)
+        with pytest.raises(DomainError, match="seed"):
+            bohm.sample_initial(f, 10, seed=-1)
+
 
 class TestTrajectories:
     def test_spin_up_all_plus(self, default_config):

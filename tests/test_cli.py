@@ -225,6 +225,8 @@ class TestBohmSg:
     ["bohm-sg", "--t-final", "inf"],
     ["bohm-sg", "--dt", "nan"],
     ["bohm-sg", "--b1", "nan"],
+    ["bohm-sg", "--seed", "-1"],
+    ["bohm-bs", "--seed", "-1"],
 ])
 def test_bohm_outside_domain_is_usage_error(tmp_path, capsys, args):
     assert run([*args, "--out", str(tmp_path)]) == 2

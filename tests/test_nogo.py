@@ -441,17 +441,17 @@ class TestCertificates:
         y = np.zeros(prob.b_eq.size)
         y[: len(prob.cells) ** prob.arity] = 0.9 * LP_TOL
         assert is_farkas(prob.a_eq, prob.b_eq, y)
-        monkeypatch.setattr(nogo, "phase1", lambda a, b: Phase1Result(
-            LpStatus.INFEASIBLE, None, y, 1.0, 0))
+        monkeypatch.setattr(nogo, "phase1",
+                            lambda a, b: Phase1Result(None, y, 1.0, 0))
         assert nogo.lp_feasibility(prob).status is LpStatus.INDETERMINATE
 
     def test_near_feasible_random_problem_not_infeasible(self):
-        """A seeded random 1-copy problem (309 x 602, 301 tuples) that HiGHS
-        calls INFEASIBLE with margin 1.1e-9 at max A^T y = 6.1e-10; at
-        feasibility tolerances of 1e-10 it is FEASIBLE with residual 6.2e-10.
-        The repaired margin is negative, so the duals certify nothing."""
+        """A seeded random 1-copy problem (309 x 602, 301 tuples) whose HiGHS
+        duals pass the unrepaired ``is_farkas`` with margin 1.1e-9 at max
+        A^T y = 6.1e-10; at feasibility tolerances of 1e-10 it is FEASIBLE
+        with residual 6.2e-10.  The repaired margin is negative, so the duals
+        certify nothing."""
         prob = random_problem(4)
-        assert phase1(prob.a_eq, prob.b_eq).status is LpStatus.INFEASIBLE
         assert nogo.lp_feasibility(prob).status is not LpStatus.INFEASIBLE
 
     @pytest.mark.parametrize("shared, corrupt", [
@@ -499,16 +499,27 @@ class TestCertificates:
 
 class TestPhase1:
     def test_negative_right_hand_side(self):
-        """Dense input and b < 0: -x0 - x1 = -1 has x >= 0 solutions; adding
-        x0 + x1 = 2 makes it infeasible, and the duals must certify that."""
-        ok = phase1(np.array([[-1.0, -1.0]]), np.array([-1.0]))
-        assert ok.status is LpStatus.FEASIBLE
+        """Dense input and b < 0: -x0 - x1 = -1 has x >= 0 solutions, and the
+        returned x solves it; adding x0 + x1 = 2 makes it infeasible, and the
+        returned duals certify that."""
+        a, b = np.array([[-1.0, -1.0]]), np.array([-1.0])
+        ok = phase1(a, b)
+        assert np.max(np.abs(a @ ok.x - b)) <= 1e-9
         assert ok.x.sum() == pytest.approx(1.0, abs=1e-12)
         a = np.array([[-1.0, -1.0], [1.0, 1.0]])
         b = np.array([-1.0, 2.0])
-        bad = phase1(a, b)
-        assert bad.status is LpStatus.INFEASIBLE
-        assert np.max(a.T @ bad.y) <= 1e-9 and b @ bad.y > 1e-9
+        assert is_farkas(a, b, phase1(a, b).y)
+
+    @pytest.mark.parametrize("shared", [0, 2])
+    def test_primal_and_duals_returned_whenever_solved(self, shared):
+        """phase1 answers without judging: a feasible solve (disjoint
+        supports) and an infeasible one (overlap) both return the clipped
+        primal and the equality duals, one per variable and per row."""
+        prob = nogo.pbr_scene_problem(4, shared)
+        res = phase1(prob.a_eq, prob.b_eq)
+        assert res.x is not None and res.x.shape == (prob.a_eq.shape[1],)
+        assert np.min(res.x) >= 0.0
+        assert res.y is not None and res.y.shape == prob.b_eq.shape
 
 
 class TestSceneDomain:

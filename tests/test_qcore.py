@@ -218,3 +218,25 @@ def test_canonical_phase():
     first = c.amps[np.flatnonzero(np.abs(c.amps) > 1e-14)[0]]
     assert first.imag == pytest.approx(0.0, abs=1e-15)
     assert first.real > 0
+
+
+NON_FINITE = [[np.nan, 1.0], [1.0, np.inf], [np.inf, 0.0], [complex(0.0, np.nan), 0.0]]
+
+
+@pytest.mark.parametrize("amps", NON_FINITE)
+def test_non_finite_amplitudes_rejected(amps):
+    """A NaN or infinite amplitude is outside the domain: QState's norm check
+    and make_state's division would otherwise pass a NaN state through."""
+    with pytest.raises(qcore.DomainError):
+        qcore.QState(1, np.array(amps, dtype=complex))
+    with pytest.raises(qcore.DomainError):
+        qcore.make_state(amps)
+
+
+def test_basis_with_nan_vector_rejected():
+    """The orthonormality check fails on NaN, so a NaN basis vector that got
+    past QState (here forced in) cannot build a basis."""
+    bad = qcore.ket(0)
+    object.__setattr__(bad, "amps", np.array([np.nan, 1.0], dtype=complex))
+    with pytest.raises(qcore.DomainError, match="orthonormal"):
+        qcore.MeasurementBasis(1, (bad, qcore.ket(1)))

@@ -3,9 +3,9 @@
 Modules (import each one by name; `import psilab` loads none of them):
     qcore     -- qubit states, product-state measurement bases, Born rule
     ontology  -- finite hidden-variable models and model-to-Born prediction
-    simplex   -- phase-1 feasibility via HiGHS, verdicts checked in numpy
-    nogo      -- zero-constraint extraction, analytic and LP contradiction
-                 engines, and the contextual escape constructions
+    simplex   -- phase-1 feasibility via HiGHS, answer returned unjudged
+    nogo      -- zero constraints, analytic and LP contradiction engines (its
+                 lp_feasibility judges each LP in numpy), contextual escapes
     bohm      -- 1-D spinor wave-packet simulator with quantile-map trajectories
     svgplot   -- dependency-free SVG line plots
     cli       -- scenario runner (console script: psilab)

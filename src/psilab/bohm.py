@@ -96,8 +96,8 @@ class SternGerlachConfig:
                if not np.isfinite(getattr(self, k))]
         if bad:
             raise ConfigError(f"{', '.join(bad)} must be finite")
-        if self.cells < 64:
-            raise ConfigError(f"need >= 64 cells, got {self.cells}")
+        if not isinstance(self.cells, (int, np.integer)) or self.cells < 64:
+            raise ConfigError(f"need an integer >= 64 cells, got {self.cells!r}")
         if self.x_max <= self.x_min:
             raise ConfigError("empty grid extent")
         if self.dt <= 0 or self.t_final <= 0:

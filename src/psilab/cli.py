@@ -13,7 +13,7 @@ byte-identical for identical config + seed.
 Exit codes: 0 success, 1 scientific-check failure, 2 usage error (including
 input outside a documented domain: NogoError, OntologyError, DomainError,
 bohm.ConfigError, and a pbr-check option off its default in a scene that does
-not read it).
+not read it) and an OSError on a config file or an output path.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ def _parse_kv_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"{path}: cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: config is not UTF-8 text: {exc}") from exc
     entries = {}
     for lineno, raw in enumerate(raw_lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -217,8 +217,9 @@ def _run_pbr_check(ns, out, head) -> int:
     else:
         problem = nogo.pbr_scene_problem(ns.cells_per_support, shared)
     # The zero constraints force a contradiction exactly where the two
-    # supports share a cell; disjoint supports admit a universal response.
-    expected = LpStatus.INFEASIBLE if shared > 0 else LpStatus.FEASIBLE
+    # supports share weight; disjoint supports admit a universal response.
+    expected = (LpStatus.INFEASIBLE if ontology.overlap(*problem.densities) > 0.0
+                else LpStatus.FEASIBLE)
     report = nogo.lp_feasibility(problem)
     payload = {
         **head,
@@ -255,21 +256,17 @@ def _verify_escape(scene: str):
         abs(ontology.predict(model, prep, ctx, outcome) - want)
         for (prep, ctx, outcome), want in born.items()
     )
-    labels = model.prep_labels
-    overlaps = [
-        ontology.overlap(model.preparations[a], model.preparations[b])
-        for i, a in enumerate(labels) for b in labels[i + 1:]
-    ]
+    overlap = ontology.max_pairwise_overlap(model)
     deterministic, offenders = nogo.determinism_check(model)
     # The escape claim needs *some* distinct preparations with common
     # support (plus/minus in the beam-splitter scene); other pairs may be
     # disjoint by design.
     return model, {
         "max_born_error": max_err,
-        "max_pairwise_overlap": max(overlaps),
+        "max_pairwise_overlap": overlap,
         "deterministic": deterministic,
         "classification": ontology.classify(model).name,
-        "passed": bool(max_err <= 1e-12 and max(overlaps) > 0 and deterministic),
+        "passed": bool(max_err <= 1e-12 and overlap > 0 and deterministic),
     }
 
 
@@ -292,16 +289,14 @@ def _parser_bohm_sg() -> argparse.ArgumentParser:
     _add_common(p)
     _add_ensemble(p, n=1000)
     p.add_argument("--theta", type=float, default=np.pi / 2)
-    p.add_argument("--cells", type=int, default=1792)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--t-final", type=float, default=3.0)
-    p.add_argument("--b1", type=float, default=-4.0)
+    p.add_argument("--cells", type=int, default=bohm.SternGerlachConfig.cells)
+    p.add_argument("--dt", type=float, default=bohm.SternGerlachConfig.dt)
+    p.add_argument("--t-final", type=float, default=bohm.SternGerlachConfig.t_final)
+    p.add_argument("--b1", type=float, default=bohm.SternGerlachConfig.b1)
     return p
 
 
 def _check_ensemble_args(ns) -> None:
-    if ns.n < 1:
-        raise UsageError("n must be at least 1")
     # bohm rejects paths above n.  Without --csv/--svg _kept_paths passes 0,
     # so a negative --paths would never reach it: it is checked here.
     if ns.paths < 0:
@@ -468,7 +463,7 @@ def main(argv=None) -> int:
                 "config_hash": _config_hash({"scenario": name, **params})}
         return run(ns, _out_dir(ns), head)
     except (UsageError, nogo.NogoError, ontology.OntologyError,
-            qcore.DomainError, bohm.ConfigError) as exc:
+            qcore.DomainError, bohm.ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse's own usage failure

@@ -246,8 +246,8 @@ def build_feasibility_problem(
 
 
 def pbr_scene_problem(
-    cells_per_support: int = 4,
-    shared: int = 2,
+    cells_per_support: int,
+    shared: int,
     n: int = 2,
     basis: qcore.MeasurementBasis | None = None,
     states: list[qcore.QState] | None = None,

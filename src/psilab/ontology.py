@@ -6,7 +6,8 @@ per quantum state label, and a response model that is either universal
 conditioned on the prepared state and the measurement setting).  Integrals
 over lambda become weighted sums, so every prediction and every support
 check is an exact finite computation.  The support cutoff has one rule,
-``support_mask``, which tests a whole stack of densities row by row.  The
+``support_mask``, which tests a whole stack of densities row by row; and
+``classify`` reads the one overlap rule, ``max_pairwise_overlap``.  The
 constructors reject NaN wherever they check a bound: every check is written
 so that a comparison with NaN fails it.  A deterministic contextual response
 has one rule, ``routed_response``: each (preparation, context) routes every
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -130,7 +132,7 @@ class UniversalResponse:
 
     outcomes: tuple[str, ...]
     table: np.ndarray
-    context: str = "default"
+    context: ClassVar[str] = "default"
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=float)
@@ -277,15 +279,18 @@ def overlap(d1: PreparationDensity, d2: PreparationDensity) -> float:
     return float(d1.space.weights[both].sum())
 
 
+def max_pairwise_overlap(model: OntModel) -> float:
+    """Largest ``overlap`` of two preparations of a model (OntologyError if < 2)."""
+    dens = list(model.preparations.values())
+    if len(dens) < 2:
+        raise OntologyError("overlap needs at least two preparations")
+    return max(overlap(a, b) for i, a in enumerate(dens) for b in dens[i + 1:])
+
+
 def classify(model: OntModel) -> PsiClass:
-    """Psi-ontic iff every pair of distinct preparations has disjoint support."""
-    labels = model.prep_labels
-    if len(labels) < 2:
-        raise OntologyError("classification needs at least two preparations")
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            if overlap(model.preparations[a], model.preparations[b]) > 0.0:
-                return PsiClass.PSI_EPISTEMIC
+    """Psi-epistemic iff two preparations share support weight, else psi-ontic."""
+    if max_pairwise_overlap(model) > 0.0:
+        return PsiClass.PSI_EPISTEMIC
     return PsiClass.PSI_ONTIC
 
 

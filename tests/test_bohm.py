@@ -30,6 +30,9 @@ class TestConfig:
     def test_invalid_configs(self):
         with pytest.raises(bohm.ConfigError):
             bohm.SternGerlachConfig(cells=32)
+        with pytest.raises(bohm.ConfigError, match="integer"):
+            bohm.SternGerlachConfig(cells=100.5)  # simulate needs an integer
+        assert bohm.SternGerlachConfig(cells=np.int64(1024)).cells == 1024
         with pytest.raises(bohm.ConfigError):
             bohm.SternGerlachConfig(dt=-1.0)
         with pytest.raises(bohm.ConfigError):

@@ -227,6 +227,8 @@ class TestBohmSg:
     ["bohm-sg", "--b1", "nan"],
     ["bohm-sg", "--seed", "-1"],
     ["bohm-bs", "--seed", "-1"],
+    ["bohm-sg", "--n", "0"],
+    ["bohm-bs", "--n", "0"],
 ])
 def test_bohm_outside_domain_is_usage_error(tmp_path, capsys, args):
     assert run([*args, "--out", str(tmp_path)]) == 2
@@ -314,6 +316,38 @@ class TestConfigFile:
 
     def test_missing_config_file(self, tmp_path):
         assert run(["bohm-sg", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_non_utf8_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        assert run(["bohm-sg", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bad.cfg" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+class TestOutputPaths:
+    """An output path that cannot be written is a usage error, not a crash."""
+
+    def assert_usage_error(self, capsys, argv):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_out_names_a_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        self.assert_usage_error(capsys, ["pbr-table", "--out", str(tmp_path / "taken")])
+
+    def test_env_out_names_a_file(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "taken").write_text("")
+        monkeypatch.setenv("PSILAB_OUT", str(tmp_path / "taken"))
+        self.assert_usage_error(capsys, ["pbr-table"])
+
+    def test_artifact_name_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "pbr_table.json").mkdir()
+        self.assert_usage_error(capsys, ["pbr-table", "--out", str(tmp_path)])
+        assert not (tmp_path / "pbr_table.csv").exists()
 
 
 class TestUsage:

@@ -259,12 +259,13 @@ def dense_reference(prob):
     return np.array(rows)
 
 
-def scene(n=2, theta=np.pi / 4, **kw):
+def scene(n=2, theta=np.pi / 4, cells_per_support=4, shared=2):
     if n == 2:
-        return nogo.pbr_scene_problem(**kw)
+        return nogo.pbr_scene_problem(cells_per_support, shared)
     basis = qcore.pbr_basis_n(theta, n)
     return nogo.pbr_scene_problem(
-        n=n, basis=basis, states=list(qcore.make_qubit_pair(theta)), **kw
+        cells_per_support, shared, n=n, basis=basis,
+        states=list(qcore.make_qubit_pair(theta)),
     )
 
 
@@ -524,10 +525,11 @@ class TestPhase1:
 
 class TestSceneDomain:
     @pytest.mark.parametrize("kw", [
-        {"shared": -1},
-        {"shared": 5},
+        {"cells_per_support": 4, "shared": -1},
+        {"cells_per_support": 4, "shared": 5},
         {"cells_per_support": 0, "shared": 0},
-        {"n": 3, "basis": qcore.NotFound(margin=0.261)},
+        {"cells_per_support": 4, "shared": 2, "n": 3,
+         "basis": qcore.NotFound(margin=0.261)},
     ])
     def test_outside_domain_raises(self, kw):
         with pytest.raises(nogo.NogoError):

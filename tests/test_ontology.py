@@ -118,9 +118,10 @@ class TestPredict:
     def test_uniform_universal_response(self):
         space = simple_space()
         prep = ont.uniform_density(space, "p", [0, 1, 2, 3])
-        resp = ont.UniversalResponse(("x", "y"), np.full((2, 4), 0.5), context="c")
+        resp = ont.UniversalResponse(("x", "y"), np.full((2, 4), 0.5))
         model = ont.OntModel(space, {"p": prep}, resp)
-        assert ont.predict(model, "p", "c", "x") == pytest.approx(0.5, abs=1e-14)
+        assert resp.context == "default"
+        assert ont.predict(model, "p", "default", "x") == pytest.approx(0.5, abs=1e-14)
 
     def test_unknown_labels(self, bs_model):
         with pytest.raises(ont.UnknownLabel):
@@ -210,6 +211,30 @@ class TestClassify:
         )
         with pytest.raises(ont.OntologyError):
             ont.classify(model)
+        with pytest.raises(ont.OntologyError):
+            ont.max_pairwise_overlap(model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 6), k=st.integers(2, 4), data=st.data())
+    def test_one_overlap_rule_over_random_supports(self, m, k, data):
+        """The largest pairwise overlap is what classify reads: psi-epistemic
+        iff two drawn supports share a cell."""
+        weights = data.draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m))
+        space = ont.LambdaSpace(weights=np.array(weights))
+        supports = [data.draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))
+                    for _ in range(k)]
+        preps = {f"p{j}": ont.uniform_density(space, f"p{j}", cells)
+                 for j, cells in enumerate(supports)}
+        model = ont.OntModel(space, preps,
+                             ont.UniversalResponse(("x",), np.ones((1, m))))
+        dens = list(preps.values())
+        largest = max(ont.overlap(dens[i], dens[j])
+                      for i in range(k) for j in range(i + 1, k))
+        assert ont.max_pairwise_overlap(model) == largest
+        shares = any(set(supports[i]) & set(supports[j])
+                     for i in range(k) for j in range(i + 1, k))
+        assert (largest > 0.0) == shares
+        assert (ont.classify(model) is PsiClass.PSI_EPISTEMIC) == shares
 
     def test_invariance_under_weight_rescaling(self, bs_model):
         # Uniform rescaling of all cell weights must not change the verdict.

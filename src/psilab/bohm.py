@@ -30,10 +30,13 @@ current the module computes.
 ``simulate`` streams the evolution: each frame is reduced to its norm and
 continuity residual and then dropped, so the record keeps no per-frame
 history, only the first and the last field.  Points given to ``simulate`` up
-front are carried through every frame inside the stepping loop, which
-records their positions and local spin as (frames, points) arrays for the
-CSV and SVG writers; ``integrate_ensemble`` carries any other points from
-the first frame to the last.
+front are carried through every frame inside the stepping loop: each frame's
+rho and |up|^2 - |down|^2 are copied into a block of PATH_BLOCK frames, and
+each full block is mapped at once (one cumulative sum for the CDFs, one
+local-spin pass), which records the points' positions and local spin as
+(frames, points) arrays; ``integrate_ensemble`` carries any other points
+from the first frame to the last.  The CSV and SVG writers stream those
+arrays to an open file one path at a time.
 
 Both scenes, the spin analyzer (``run_ensemble``) and the beam splitter
 (``beam_splitter_scene``), run the same pipeline (sample, simulate with the
@@ -60,6 +63,9 @@ from .qcore import DomainError
 NODE_EPS_FACTOR = 1e-12
 # |Sigma| must exceed 1 - SIGMA_RESOLVED at the final time to call an outcome.
 SIGMA_RESOLVED = 1e-2
+# Frames whose tracked points ``simulate`` maps together (about 2 MB of
+# buffers at 1024 cells).
+PATH_BLOCK = 64
 
 # The gradient acts while the step midpoint (n + 1/2) dt is below FIELD_OFF.
 FIELD_OFF = 1.0
@@ -297,17 +303,19 @@ class EvolutionRecord:
 
 
 def _densities(up, down):
-    """|up|^2, |down|^2 and their sum rho; a component given as None is 0."""
+    """|up|^2 - |down|^2 and rho = |up|^2 + |down|^2; a component given as
+    None is 0."""
     up2 = 0.0 if up is None else np.abs(up) ** 2
     down2 = 0.0 if down is None else np.abs(down) ** 2
-    return up2, down2, up2 + down2
+    return up2 - down2, up2 + down2
 
 
-def _local_spin(up2, down2, rho):
-    """(|up|^2 - |down|^2) / rho, NaN below the node threshold of the frame."""
+def _local_spin(spin, rho):
+    """spin / rho along the last axis (|up|^2 - |down|^2 over the density),
+    NaN below the node threshold of its frame."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        sig = (up2 - down2) / rho
-    sig[rho < NODE_EPS_FACTOR * rho.max()] = np.nan
+        sig = spin / rho
+    sig[rho < NODE_EPS_FACTOR * rho.max(axis=-1, keepdims=True)] = np.nan
     return np.clip(sig, -1.0, 1.0, out=sig)
 
 
@@ -331,12 +339,13 @@ def _edges(x, dx):
 
 
 def _cdf(rho, dx):
-    """Normalized cumulative density at the cell edges (0 at the first)."""
-    cdf = np.empty(len(rho) + 1)
-    cdf[0] = 0.0
-    np.cumsum(rho, out=cdf[1:])
-    cdf[1:] *= dx
-    cdf /= cdf[-1]
+    """Normalized cumulative density at the cell edges (0 at the first),
+    along the last axis."""
+    cdf = np.empty(rho.shape[:-1] + (rho.shape[-1] + 1,))
+    cdf[..., 0] = 0.0
+    np.cumsum(rho, axis=-1, out=cdf[..., 1:])
+    cdf[..., 1:] *= dx
+    cdf /= cdf[..., -1:]
     return cdf
 
 
@@ -355,14 +364,19 @@ def _start_quantiles(config: SternGerlachConfig, field0: SpinorField, x0s):
     return x0, np.interp(x0, _edges(config.x, config.dx), cdf)
 
 
-def _quantile_map(grid, edges, dx, q, densities):
-    """Positions x_t = F_t^-1(q) in one frame, and the local spin there.
+def _quantile_map(grid, edges, dx, q, spin, rho):
+    """Positions x_t = F_t^-1(q) and the local spin there, (frames, points).
 
-    ``edges`` are the grid's cell edges (``_edges``) and ``densities`` the
-    frame's (|up|^2, |down|^2, rho) from ``_densities``.
+    ``edges`` are the grid's cell edges (``_edges``); ``spin`` and ``rho``
+    are the frames' (frames, cells) densities from ``_densities``.
     """
-    x = np.interp(q, _cdf(densities[2], dx), edges)
-    return x, np.interp(x, grid, _local_spin(*densities))
+    cdfs, sigs = _cdf(rho, dx), _local_spin(spin, rho)
+    xs = np.empty((len(rho), len(q)))
+    sigmas = np.empty_like(xs)
+    for k, (cdf, sig) in enumerate(zip(cdfs, sigs)):
+        xs[k] = np.interp(q, cdf, edges)
+        sigmas[k] = np.interp(xs[k], grid, sig)
+    return xs, sigmas
 
 
 def simulate(config: SternGerlachConfig, theta: float = 0.0,
@@ -384,14 +398,22 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
     paths_x = np.empty((n_steps + 1, len(q)))
     paths_sigma = np.empty_like(paths_x)
 
+    # Tracked points: each frame's densities wait in a block of PATH_BLOCK
+    # rows, mapped when the block fills and after the last frame.
+    block = min(PATH_BLOCK, n_steps + 1) if len(q) else 0
+    spin_blk, rho_blk = np.empty((block, len(grid))), np.empty((block, len(grid)))
+
     def frame(k, up, down):
         """Record frame k's norm and tracked points; return its density."""
-        densities = _densities(up, down)
-        norms[k] = np.sum(densities[2]) * dx
-        if len(q):
-            paths_x[k], paths_sigma[k] = _quantile_map(grid, edges, dx, q,
-                                                       densities)
-        return densities[2]
+        spin, rho = _densities(up, down)
+        norms[k] = np.sum(rho) * dx
+        if block:
+            i = k % block
+            spin_blk[i], rho_blk[i] = spin, rho
+            if i == block - 1 or k == n_steps:
+                paths_x[k - i:k + 1], paths_sigma[k - i:k + 1] = _quantile_map(
+                    grid, edges, dx, q, spin_blk[:i + 1], rho_blk[:i + 1])
+        return rho
 
     # A component zero at the start stays so (_cn_steps): None skips its diagnostics.
     live_up, live_down = field0.up.any(), field0.down.any()
@@ -436,9 +458,9 @@ def integrate_ensemble(record: EvolutionRecord, x0s) -> EnsembleTrajectories:
     config, final = record.config, record.final
     x0, q = _start_quantiles(config, record.initial, x0s)
     grid, dx = config.x, config.dx
-    final_x, final_sigma = _quantile_map(
-        grid, _edges(grid, dx), dx, q, _densities(final.up, final.down)
-    )
+    spin, rho = _densities(final.up, final.down)
+    (final_x,), (final_sigma,) = _quantile_map(grid, _edges(grid, dx), dx, q,
+                                               spin[None], rho[None])
     outcomes = np.zeros(x0.shape, dtype=int)
     resolved = np.isfinite(final_sigma) & (
         np.abs(final_sigma) > 1.0 - SIGMA_RESOLVED
@@ -670,12 +692,15 @@ def bohm_ont_model(thetas=(np.pi / 3, np.pi / 2)) -> ontology.OntModel:
     return ontology.OntModel(space, preparations, response, product_arity=1)
 
 
-def trajectories_to_csv(times, xs, sigmas) -> str:
-    """CSV of (frames, points) position and spin arrays, one row per (point, t)."""
-    ts = ["%.15g" % t for t in np.asarray(times).tolist()]
-    lines = ["traj_id,t,x,sigma"]
-    for tid in range(xs.shape[1]):  # a column at a time: xs.T.tolist() costs RSS
-        lines += ["%d,%s,%.15g,%.15g" % (tid, t, x, s) for t, x, s in
-                  zip(ts, xs[:, tid].tolist(), sigmas[:, tid].tolist())]
-    return "\n".join(lines) + "\n"
-
+def trajectories_to_csv(fh, times, xs, sigmas) -> None:
+    """Write the CSV of (frames, points) position and spin arrays to the open
+    text file ``fh``, one row per (point, t), one point at a time."""
+    # One template per file with the t column inlined; each path fills it
+    # with (id, x, sigma) per row, the id as a float that %d prints whole.
+    tpl = "".join("%%d,%s,%%.15g,%%.15g\n" % ("%.15g" % t)
+                  for t in np.asarray(times).tolist())
+    path = np.empty((len(xs), 3))
+    fh.write("traj_id,t,x,sigma\n")
+    for tid in range(xs.shape[1]):
+        path[:, 0], path[:, 1], path[:, 2] = tid, xs[:, tid], sigmas[:, tid]
+        fh.write(tpl % tuple(path.ravel().tolist()))

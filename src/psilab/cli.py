@@ -13,12 +13,17 @@ byte-identical for identical config + seed.
 Exit codes: 0 success, 1 scientific-check failure, 2 usage error (including
 input outside a documented domain: NogoError, OntologyError, DomainError,
 bohm.ConfigError, and a pbr-check option off its default in a scene that does
-not read it) and an OSError on a config file or an output path.
+not read it) and an OSError on a config file or an output path.  Artifacts
+are staged as temporary files in the output directory and renamed into place
+only when the subcommand returns (exit 0 or 1), so a usage error or any other
+exception leaves no file behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import hashlib
 import json
 import os
@@ -126,16 +131,46 @@ def _config_hash(params: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _write(out_dir: str, name: str, text: str) -> str:
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    print(f"wrote {path}")
-    return path
+class _Staged:
+    """The artifacts of one run: (temporary, target) paths in its output
+    directory, renamed into place by ``_commit``."""
+
+    def __init__(self, out_dir: str):
+        self.dir = out_dir
+        self.files = []
 
 
-def _emit_json(out_dir: str, name: str, payload: dict) -> str:
-    return _write(out_dir, name, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _write(out: _Staged, name: str, write) -> None:
+    """Stage the artifact ``name``: ``write(fh)`` fills the open text file."""
+    tmp = os.path.join(out.dir, f".{name}.{os.getpid()}.tmp")
+    with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+        out.files.append((tmp, os.path.join(out.dir, name)))
+        write(fh)
+
+
+def _emit_json(out: _Staged, name: str, payload: dict) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _write(out, name, lambda fh: fh.write(text))
+
+
+def _commit(out: _Staged) -> None:
+    """Rename every staged artifact into place, none if a target is a
+    directory."""
+    for _, path in out.files:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    while out.files:
+        tmp, path = out.files.pop(0)
+        os.replace(tmp, path)
+        print(f"wrote {path}")
+
+
+def _discard(out: _Staged) -> None:
+    """Delete the staged artifacts that were not committed."""
+    for tmp, _ in out.files:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+    out.files.clear()
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -186,7 +221,8 @@ def _run_pbr_table(ns, out, head) -> int:
         "max_error_vs_reference": err,
     }
     _emit_json(out, "pbr_table.json", payload)
-    _write(out, "pbr_table.csv", qcore.table_to_csv(list(PRODUCT_LABELS), table))
+    csv = qcore.table_to_csv(list(PRODUCT_LABELS), table)
+    _write(out, "pbr_table.csv", lambda fh: fh.write(csv))
     return 0 if err < 1e-12 else 1
 
 
@@ -278,7 +314,8 @@ def _run_escape_demo(ns, out, head) -> int:
         model, report = _verify_escape(scene)
         reports[scene] = report
         ok = ok and report["passed"]
-        _write(out, f"escape_{scene}.json", ontology.model_to_json(model) + "\n")
+        text = ontology.model_to_json(model) + "\n"
+        _write(out, f"escape_{scene}.json", lambda fh: fh.write(text))
     _emit_json(out, "escape_demo.json", {**head, "scenes": reports})
     return 0 if ok else 1
 
@@ -315,11 +352,11 @@ def _write_paths(ns, out, stem, title, record: bohm.EvolutionRecord) -> None:
         return
     if ns.csv:
         _write(out, f"{stem}_trajectories.csv",
-               bohm.trajectories_to_csv(times, xs, sigmas))
+               lambda fh: bohm.trajectories_to_csv(fh, times, xs, sigmas))
     if ns.svg:
         series = [(times, x) for x in xs.T]
         _write(out, f"{stem}_trajectories.svg",
-               svgplot.render_lines(series, title))
+               lambda fh: svgplot.render_lines(fh, series, title))
 
 
 def _run_bohm_sg(ns, out, head) -> int:
@@ -456,18 +493,25 @@ def main(argv=None) -> int:
         return 2
     build, run = _COMMANDS[name]
     parser = build()
+    out = None
     try:
         ns = _apply_config(parser, parser.parse_args(tail), tail)
         params = {k: v for k, v in vars(ns).items() if k not in _UNHASHED}
         head = {"scenario": name,
                 "config_hash": _config_hash({"scenario": name, **params})}
-        return run(ns, _out_dir(ns), head)
+        out = _Staged(_out_dir(ns))
+        rc = run(ns, out, head)
+        _commit(out)
+        return rc
     except (UsageError, nogo.NogoError, ontology.OntologyError,
             qcore.DomainError, bohm.ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse's own usage failure
         return int(exc.code or 0)
+    finally:
+        if out is not None:
+            _discard(out)
 
 
 if __name__ == "__main__":

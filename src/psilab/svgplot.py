@@ -1,8 +1,9 @@
 """Minimal SVG line plots (no external plotting dependency).
 
-Renders bundles of (t, x) series as polylines inside a fixed viewport with
+Writes bundles of (t, x) series as polylines inside a fixed viewport with
 a light frame, axis labels and tick labels — enough to eyeball the
-trajectory bundles emitted by the command-line runner.
+trajectory bundles emitted by the command-line runner.  The document goes
+to an open text file one polyline at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ def _fmt(v: float) -> str:
     return "%.6g" % v
 
 
-def render_lines(series, title: str) -> str:
-    """Render a list of (t, x) pairs as an SVG document string."""
+def render_lines(fh, series, title: str) -> None:
+    """Write a list of (t, x) pairs as an SVG document to the open text file
+    ``fh``, one polyline at a time; ValueError, before anything is written,
+    for nothing to plot."""
     if not series:
         raise ValueError("nothing to plot")
     xs_all = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
@@ -75,18 +78,18 @@ def render_lines(series, title: str) -> str:
             f'font-family="sans-serif" font-size="11">{_fmt(vy)}</text>'
         )
 
+    fh.write("\n".join(parts) + "\n")
     for k, (xs, ys) in enumerate(series):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         good = np.isfinite(xs) & np.isfinite(ys)
-        if np.count_nonzero(good) < 2:
+        n = np.count_nonzero(good)
+        if n < 2:
             continue
-        px, py = to_px(xs[good], ys[good])
-        pts = ["%.6g,%.6g" % p for p in zip(px.tolist(), py.tolist())]
+        xy = np.empty((n, 2))
+        xy[:, 0], xy[:, 1] = to_px(xs[good], ys[good])
+        pts = " ".join(["%.6g,%.6g"] * n) % tuple(xy.ravel().tolist())
         color = _PALETTE[k % len(_PALETTE)]
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1" '
-            f'points="{" ".join(pts)}"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        fh.write(f'<polyline fill="none" stroke="{color}" stroke-width="1" '
+                 f'points="{pts}"/>\n')
+    fh.write("</svg>\n")

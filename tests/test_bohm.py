@@ -1,3 +1,4 @@
+import io
 import re
 
 import numpy as np
@@ -184,6 +185,17 @@ def reference_paths(config, rho, sigma, x0):
     return xs, sigmas
 
 
+def field_with_dead(cfg, dead):
+    """The packet with component ``dead`` ("up" or "down") identically zero,
+    or both components live at theta = pi/2 (``dead`` = "none")."""
+    if dead == "none":
+        return bohm.prepare(cfg, np.pi / 2)
+    packet = bohm.prepare(cfg, 0.0).up
+    zero = np.zeros_like(packet)
+    up, down = (packet, zero) if dead == "down" else (zero, packet)
+    return bohm.SpinorField(x=cfg.x, dx=cfg.dx, up=up, down=down)
+
+
 class TestStepper:
     @pytest.mark.parametrize("dead", ["down", "up", "none"])
     def test_zero_component_diagnostics_match_reference(self, dead):
@@ -191,12 +203,7 @@ class TestStepper:
         afterwards, with a zero component's density and current skipped
         (``dead``) or both components live at theta = pi/2."""
         cfg = bohm.SternGerlachConfig(t_final=0.3)
-        field0 = bohm.prepare(cfg, np.pi / 2)
-        if dead != "none":
-            packet = bohm.prepare(cfg, 0.0).up
-            zero = np.zeros_like(packet)
-            up, down = (packet, zero) if dead == "down" else (zero, packet)
-            field0 = bohm.SpinorField(x=cfg.x, dx=cfg.dx, up=up, down=down)
+        field0 = field_with_dead(cfg, dead)
         x0 = bohm.sample_initial(field0, 8, seed=4)
         rec = bohm.simulate(cfg, field0=field0, points=x0)
         rho, sigma, norms, continuity = reference_diagnostics(cfg, field0)
@@ -207,6 +214,24 @@ class TestStepper:
         assert rec.paths_x.shape == (cfg.n_steps + 1, 8)
         if dead != "none":
             assert not getattr(rec.final, dead).any()
+
+    @pytest.mark.parametrize("dead", ["down", "none"])
+    @pytest.mark.parametrize("frames", [bohm.PATH_BLOCK - 1, bohm.PATH_BLOCK,
+                                        bohm.PATH_BLOCK + 1,
+                                        2 * bohm.PATH_BLOCK + 1])
+    def test_blocked_path_map_matches_reference(self, frames, dead):
+        """Tracked points mapped a block of frames at a time equal the
+        per-frame quantile map over the full history, with the last block
+        short, full or holding one frame."""
+        cfg = bohm.SternGerlachConfig(t_final=(frames - 1) * 1e-3)
+        field0 = field_with_dead(cfg, dead)
+        x0 = bohm.sample_initial(field0, 8, seed=4)
+        rec = bohm.simulate(cfg, field0=field0, points=x0)
+        rho, sigma, _, _ = reference_diagnostics(cfg, field0)
+        xs, sigmas = reference_paths(cfg, rho, sigma, x0)
+        assert rec.paths_x.shape == (frames, 8)
+        assert np.array_equal(rec.paths_x, xs, equal_nan=True)
+        assert np.array_equal(rec.paths_sigma, sigmas, equal_nan=True)
 
     def test_record_keeps_no_frame_history(self, record_half):
         """Without tracked points the record holds O(cells + steps) bytes
@@ -423,7 +448,9 @@ class TestTrajectories:
         assert ens.outcomes[0] == bohm.OUTCOME_PLUS
         assert xs.shape == sigmas.shape == (len(times), 1)
         assert abs(sigmas[-1, 0] - 1.0) < 1e-2
-        csv = bohm.trajectories_to_csv(times, xs, sigmas)
+        fh = io.StringIO()
+        assert bohm.trajectories_to_csv(fh, times, xs, sigmas) is None
+        csv = fh.getvalue()
         assert csv.splitlines()[0] == "traj_id,t,x,sigma"
         assert len(csv.splitlines()) == 1 + len(times)
 
@@ -685,16 +712,23 @@ def synthetic_paths():
     return times, xs, sigmas
 
 
+def written(writer, *args):
+    """What ``writer`` writes into an open text file given first."""
+    fh = io.StringIO()
+    writer(fh, *args)
+    return fh.getvalue()
+
+
 class TestArtifactFormatting:
     def test_trajectories_csv_matches_row_loop(self, record_half):
         times, xs, sigmas = synthetic_paths()
-        got = bohm.trajectories_to_csv(times, xs, sigmas)
+        got = written(bohm.trajectories_to_csv, times, xs, sigmas)
         assert got == reference_trajectories_csv(times, xs, sigmas)
         assert "\n11,0.4," in got and ",nan\n" in got
         x0 = bohm.sample_initial(record_half.initial, 12, seed=3)
         rec = bohm.simulate(record_half.config, np.pi / 2, points=x0)
         times, xs, sigmas = rec.times, rec.paths_x, rec.paths_sigma
-        assert (bohm.trajectories_to_csv(times, xs, sigmas)
+        assert (written(bohm.trajectories_to_csv, times, xs, sigmas)
                 == reference_trajectories_csv(times, xs, sigmas))
 
     @pytest.mark.parametrize("case", ["paths", "constant_y", "constant_x"])
@@ -706,7 +740,7 @@ class TestArtifactFormatting:
                            (times, [2.5, np.nan] + [2.5] * 7)],
             "constant_x": [(np.full(4, -1.0), [0.0, 1.0, -np.inf, 3.0])],
         }[case]
-        svg = svgplot.render_lines(series, "t")
+        svg = written(svgplot.render_lines, series, "t")
         points = re.findall(r'points="([^"]*)"', svg)
         assert points == reference_polyline_points(series)
         assert len(points) == len(series)

@@ -1,13 +1,15 @@
+import errno
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import psilab
-from psilab import cli, nogo
+from psilab import cli, nogo, svgplot
 
 
 # config_hash of the runs below, pinned: a change to which options are hashed,
@@ -248,6 +250,23 @@ class TestBohmBs:
         assert payload["config_hash"] == CONFIG_HASH["bohm-bs-plus"]
 
 
+def test_trajectory_artifacts_stream_to_file(tmp_path):
+    """The trajectory CSV and SVG are written a path at a time: the run's
+    peak of traced allocations stays below twice the bytes it writes (a
+    whole-document string costs more than the document)."""
+    argv = ["bohm-bs", "--prep", "plus", "--n", "400", "--csv", "--svg",
+            "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = sum(p.stat().st_size for p in tmp_path.iterdir())
+    assert written > 4_000_000
+    assert peak < 2 * written
+
+
 class TestConfigFile:
     def test_config_values_applied(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -334,6 +353,7 @@ class TestOutputPaths:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        return err
 
     def test_out_names_a_file(self, tmp_path, capsys):
         (tmp_path / "taken").write_text("")
@@ -348,6 +368,38 @@ class TestOutputPaths:
         (tmp_path / "pbr_table.json").mkdir()
         self.assert_usage_error(capsys, ["pbr-table", "--out", str(tmp_path)])
         assert not (tmp_path / "pbr_table.csv").exists()
+
+    @pytest.mark.parametrize("argv, taken", [
+        (["escape-demo"], "escape_demo.json"),
+        (["pbr-table"], "pbr_table.csv"),
+        (["bohm-bs", "--n", "50", "--csv", "--svg"], "bohm_bs_trajectories.svg"),
+    ])
+    def test_later_artifact_a_directory_writes_nothing(self, tmp_path, capsys,
+                                                       argv, taken):
+        """Artifacts named before the blocked one are not left behind."""
+        (tmp_path / taken).mkdir()
+        self.assert_usage_error(capsys, [*argv, "--out", str(tmp_path)])
+        assert [p.name for p in tmp_path.iterdir()] == [taken]
+
+    @pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"),
+                                     RuntimeError("writer failed")])
+    def test_failure_mid_write_leaves_no_file(self, tmp_path, capsys,
+                                              monkeypatch, exc):
+        """A writer that fails partway leaves neither its truncated file nor
+        the artifacts staged before it."""
+        def failing(fh, series, title):
+            fh.write("<svg")
+            raise exc
+
+        monkeypatch.setattr(svgplot, "render_lines", failing)
+        argv = ["bohm-sg", "--n", "30", "--t-final", "0.05", "--csv", "--svg",
+                "--out", str(tmp_path)]
+        if isinstance(exc, OSError):
+            assert "No space left" in self.assert_usage_error(capsys, argv)
+        else:
+            with pytest.raises(RuntimeError):
+                run(argv)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUsage:

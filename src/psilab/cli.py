@@ -16,7 +16,9 @@ bohm.ConfigError, and a pbr-check option off its default in a scene that does
 not read it) and an OSError on a config file or an output path.  Artifacts
 are staged as temporary files in the output directory and renamed into place
 only when the subcommand returns (exit 0 or 1), so a usage error or any other
-exception leaves no file behind.
+exception leaves no file behind.  The output directory is created when the
+first artifact is staged, and removed again with the directories made for it
+when the run fails.
 """
 
 from __future__ import annotations
@@ -120,12 +122,6 @@ def _apply_config(parser: argparse.ArgumentParser, ns: argparse.Namespace,
     return parser.parse_args(argv_tail)
 
 
-def _out_dir(ns) -> str:
-    out = ns.out or os.environ.get("PSILAB_OUT") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _config_hash(params: dict) -> str:
     canon = json.dumps(params, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
@@ -133,15 +129,30 @@ def _config_hash(params: dict) -> str:
 
 class _Staged:
     """The artifacts of one run: (temporary, target) paths in its output
-    directory, renamed into place by ``_commit``."""
+    directory, renamed into place by ``_commit``, and the directories the run
+    created for them (None until the first artifact is staged)."""
 
     def __init__(self, out_dir: str):
         self.dir = out_dir
         self.files = []
+        self.made = None
+
+
+def _make_dir(out: _Staged) -> None:
+    """Create the output directory, recording each directory made for it,
+    deepest first."""
+    made, path = [], out.dir
+    while path and not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    os.makedirs(out.dir, exist_ok=True)
+    out.made = made
 
 
 def _write(out: _Staged, name: str, write) -> None:
     """Stage the artifact ``name``: ``write(fh)`` fills the open text file."""
+    if out.made is None:
+        _make_dir(out)
     tmp = os.path.join(out.dir, f".{name}.{os.getpid()}.tmp")
     with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
         out.files.append((tmp, os.path.join(out.dir, name)))
@@ -163,14 +174,19 @@ def _commit(out: _Staged) -> None:
         tmp, path = out.files.pop(0)
         os.replace(tmp, path)
         print(f"wrote {path}")
+    out.made = []
 
 
 def _discard(out: _Staged) -> None:
-    """Delete the staged artifacts that were not committed."""
+    """Delete the staged artifacts that were not committed, and the
+    directories the run created for them."""
     for tmp, _ in out.files:
         with contextlib.suppress(OSError):
             os.remove(tmp)
     out.files.clear()
+    for path in out.made or ():
+        with contextlib.suppress(OSError):
+            os.rmdir(path)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -499,7 +515,7 @@ def main(argv=None) -> int:
         params = {k: v for k, v in vars(ns).items() if k not in _UNHASHED}
         head = {"scenario": name,
                 "config_hash": _config_hash({"scenario": name, **params})}
-        out = _Staged(_out_dir(ns))
+        out = _Staged(ns.out or os.environ.get("PSILAB_OUT") or ".")
         rc = run(ns, out, head)
         _commit(out)
         return rc

@@ -10,6 +10,8 @@ from ``ontology.support_mask``, so each no-go verdict costs a fixed number of
 array operations whatever the constraints.
 A psi-ontic model with disjoint supports needs no construction here: the
 witness of a FEASIBLE verdict on disjoint supports is its response.
+``pbr_scene_problem`` builds each PBR scene on its three cell classes, an
+exact reduction to at most 3^n lambda tuples whatever the support size.
 Each scene fact is stated once: ``_zero_set`` is the one selection of the
 Born values below ZERO_TOL (``zero_constraints`` and ``FeasibilityProblem.
 zeros``), and ``ESCAPE_SCENES`` holds each escape scene as data (outcomes,
@@ -259,6 +261,18 @@ def pbr_scene_problem(
     the state pair against the basis.  Defaults to the fixed 2-qubit basis
     with the pair |0>, |+>.  Raises NogoError for ``cells_per_support < 1``,
     ``shared`` outside [0, cells_per_support], or a ``qcore.NotFound`` basis.
+
+    Cells whose density columns are equal are interchangeable, so the lambda
+    space holds one cell per class, weighing its cell count: psi1 only
+    (``cells_per_support - shared``), shared (``shared``) and psi2 only,
+    each dropped at weight 0.  The densities keep their per-cell values, so
+    the verdict, the zero constraints and the forcing margin q^n are those
+    of the cell-level scene; the LP has at most 3^n tuples.  The reduction
+    is exact both ways (Boedi, Herr & Joswig, Math. Program. 137, 65
+    (2013)): a class witness X lifts to the cells as xi(i|t) = X(i|C(t)), and
+    a class Farkas vector as y_t = y_C prod_j w(t_j)/W(C_j) with the same
+    b^T y.  The LP's iterations, phase-1 optimum and HiGHS's margin belong
+    to this formulation, not to the scene.
     """
     if cells_per_support < 1:
         raise NogoError(
@@ -280,12 +294,12 @@ def pbr_scene_problem(
             raise NogoError("a basis must be supplied for n != 2")
         basis = qcore.pbr_basis_2qubit()
 
-    m = 2 * cells_per_support - shared
-    space = ont.LambdaSpace(weights=np.ones(m))
-    rho1 = ont.uniform_density(space, "psi1", np.arange(cells_per_support))
-    rho2 = ont.uniform_density(
-        space, "psi2", np.arange(cells_per_support - shared, m)
-    )
+    private = cells_per_support - shared
+    weights = np.array([private, shared, private], dtype=float)
+    kept = np.flatnonzero(weights)  # class 0: psi1 only, 1: shared, 2: psi2 only
+    space = ont.LambdaSpace(weights=weights[kept])
+    rho1 = ont.uniform_density(space, "psi1", np.flatnonzero(kept <= 1))
+    rho2 = ont.uniform_density(space, "psi2", np.flatnonzero(kept >= 1))
     born = _born_values(states, basis, n)
     return build_feasibility_problem(space, [rho1, rho2], born, len(basis), n)
 

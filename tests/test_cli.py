@@ -64,7 +64,7 @@ class TestPbrCheck:
         assert payload["has_certificate"]
         assert payload["n_zero_constraints"] == 4
         assert payload["max_zero_born_value"] < 1e-12
-        assert payload["certificate_margin"] == pytest.approx(5.0, abs=1e-9)
+        assert payload["certificate_margin"] == pytest.approx(2.0, abs=1e-9)
         assert payload["config_hash"] == CONFIG_HASH["pbr-check-overlap"]
 
     def test_disjoint_scene_feasible(self, tmp_path):
@@ -380,6 +380,23 @@ class TestOutputPaths:
         (tmp_path / taken).mkdir()
         self.assert_usage_error(capsys, [*argv, "--out", str(tmp_path)])
         assert [p.name for p in tmp_path.iterdir()] == [taken]
+
+    def test_usage_error_creates_no_directory(self, tmp_path, capsys):
+        self.assert_usage_error(
+            capsys, ["bohm-bs", "--n", "0", "--out", str(tmp_path / "new" / "sub")])
+        assert not (tmp_path / "new").exists()
+
+    def test_failure_mid_write_removes_new_directories(self, tmp_path, monkeypatch):
+        """A run that staged an artifact before failing removes the output
+        directory it made, and each parent it made for it."""
+        def failing(fh, series, title):
+            raise RuntimeError("writer failed")
+
+        monkeypatch.setattr(svgplot, "render_lines", failing)
+        with pytest.raises(RuntimeError):
+            run(["bohm-sg", "--n", "30", "--t-final", "0.05", "--svg",
+                 "--out", str(tmp_path / "new" / "sub")])
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"),
                                      RuntimeError("writer failed")])

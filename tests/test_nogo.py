@@ -203,7 +203,7 @@ class TestLpFeasibility:
         for lam in rep.certificate.witness:
             for d in prob.densities:
                 assert d.values[lam] > 0.0
-        assert rep.certificate.witness == (2, 2)  # the first shared cell
+        assert rep.certificate.witness == (1, 1)  # the shared class
 
     def test_disjoint_scene_feasible_witness(self, pair, basis2):
         prob = nogo.pbr_scene_problem(4, 0)
@@ -259,14 +259,34 @@ def dense_reference(prob):
     return np.array(rows)
 
 
+def scene_inputs(n, theta):
+    """(states, basis) of the scene: |0>, |+> and the fixed 2-qubit basis
+    for n = 2, else the pair at ``theta`` and PBR's closed-form basis."""
+    if n == 2:
+        return [qcore.ket(0), qcore.ket_plus()], qcore.pbr_basis_2qubit()
+    return list(qcore.make_qubit_pair(theta)), qcore.pbr_basis_n(theta, n)
+
+
 def scene(n=2, theta=np.pi / 4, cells_per_support=4, shared=2):
     if n == 2:
         return nogo.pbr_scene_problem(cells_per_support, shared)
-    basis = qcore.pbr_basis_n(theta, n)
-    return nogo.pbr_scene_problem(
-        cells_per_support, shared, n=n, basis=basis,
-        states=list(qcore.make_qubit_pair(theta)),
-    )
+    states, basis = scene_inputs(n, theta)
+    return nogo.pbr_scene_problem(cells_per_support, shared, n=n, basis=basis,
+                                  states=states)
+
+
+def cell_scene(n=2, theta=np.pi / 4, cells_per_support=4, shared=2):
+    """The scene with one lambda cell per support cell: uniform densities on
+    ``np.ones(m)`` through ``build_feasibility_problem``.  The reference
+    that the class scene of ``pbr_scene_problem`` is checked against."""
+    m = 2 * cells_per_support - shared
+    space = ont.LambdaSpace(weights=np.ones(m))
+    rho1 = ont.uniform_density(space, "psi1", np.arange(cells_per_support))
+    rho2 = ont.uniform_density(
+        space, "psi2", np.arange(cells_per_support - shared, m))
+    states, basis = scene_inputs(n, theta)
+    born = nogo._born_values(states, basis, n)
+    return nogo.build_feasibility_problem(space, [rho1, rho2], born, len(basis), n)
 
 
 def two_qubit_problem(weights, values1, values2):
@@ -349,7 +369,7 @@ def assert_checked_evidence(prob, rep, tol=1e-9):
 class TestSparseAssembly:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_dense_loops(self, n):
-        prob = scene(n)
+        prob = cell_scene(n)
         assert np.array_equal(prob.a_eq.toarray(), dense_reference(prob))
 
     @pytest.mark.parametrize("n, kw, shape, nnz", [
@@ -359,7 +379,7 @@ class TestSparseAssembly:
         (3, {"cells_per_support": 5}, (576, 4096), 12096),
     ])
     def test_shape_and_nonzeros(self, n, kw, shape, nnz):
-        prob = scene(n, **kw)
+        prob = cell_scene(n, **kw)
         assert prob.a_eq.shape == shape
         assert prob.a_eq.nnz == nnz == np.count_nonzero(prob.a_eq.toarray())
 
@@ -371,7 +391,7 @@ class TestCertificates:
     def test_phase1_optimum_is_two_to_the_n_plus_one(self, n, theta):
         """Observed regression value for cells_per_support=4, shared=2, with
         PBR's closed-form basis."""
-        prob = scene(n, theta)
+        prob = cell_scene(n, theta)
         rep = nogo.lp_feasibility(prob)
         assert rep.status is LpStatus.INFEASIBLE
         y = rep.farkas
@@ -435,8 +455,8 @@ class TestCertificates:
     def test_dual_that_proves_nothing_is_rejected(self, monkeypatch):
         """y = 0.9 LP_TOL on each normalization row and 0 elsewhere passes
         ``is_farkas`` on the FEASIBLE disjoint scene: max A^T y = 9e-10 and
-        b^T y = 64 * 9e-10.  But b^T y = x^T A^T y for any witness x, whose
-        64 tuples each sum to 1, so y proves nothing.  The repair leaves
+        b^T y = 4 * 9e-10.  But b^T y = x^T A^T y for any witness x, whose
+        4 tuples each sum to 1, so y proves nothing.  The repair leaves
         margin 0, and the verdict is not INFEASIBLE."""
         prob = nogo.pbr_scene_problem(4, 0)
         y = np.zeros(prob.b_eq.size)
@@ -496,6 +516,70 @@ class TestCertificates:
         else:
             assert rep.status is LpStatus.INDETERMINATE
             assert rep.farkas is None
+
+
+def class_map(cells, classes):
+    """Per active cell of ``cells``, the index of the active cell of
+    ``classes`` whose density column equals the cell's, and the ratio
+    w(cell) / W(class) of their weights."""
+    def columns(prob):
+        return np.array([d.values for d in prob.densities])[:, prob.cells].T
+
+    of = np.array([np.flatnonzero((columns(classes) == col).all(axis=1))[0]
+                   for col in columns(cells)])
+    w = cells.space.weights[cells.cells]
+    big_w = classes.space.weights[classes.cells]
+    assert np.array_equal(np.bincount(of, weights=w, minlength=len(big_w)), big_w)
+    return of, w / big_w[of]
+
+
+class TestClassScene:
+    """``pbr_scene_problem`` on its three cell classes against ``cell_scene``:
+    the same verdict, and evidence that lifts to the cell LP."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cells_per_support=st.integers(1, 5), n=st.sampled_from([2, 3]),
+           data=st.data())
+    def test_lifted_evidence_checks_on_cell_lp(self, cells_per_support, n, data):
+        shared = data.draw(st.integers(0, cells_per_support))
+        classes = scene(n, cells_per_support=cells_per_support, shared=shared)
+        cells = cell_scene(n, cells_per_support=cells_per_support, shared=shared)
+        rep, ref = nogo.lp_feasibility(classes), nogo.lp_feasibility(cells)
+        assert rep.status is ref.status
+        assert rep.status in (LpStatus.FEASIBLE, LpStatus.INFEASIBLE)
+        of, ratio = class_map(cells, classes)
+        lift = (slice(None),) + np.ix_(*[of] * n)
+        if rep.status is LpStatus.FEASIBLE:  # xi(i|t) = X(i|C(t))
+            x = rep.witness[lift].reshape(-1)
+            assert np.max(np.abs(cells.a_eq @ x - cells.b_eq)) <= LP_TOL
+            assert rep.certificate is ref.certificate is None
+        else:  # y_t = y_C prod_j w(t_j) / W(C(t_j))
+            k = len(classes.cells) ** n
+            y_class = rep.farkas[:k].reshape((len(classes.cells),) * n)
+            y_norm = y_class[lift[1:]] * reduce(np.multiply.outer, [ratio] * n)
+            y = np.concatenate([y_norm.reshape(-1), rep.farkas[k:]])
+            assert is_farkas(cells.a_eq, cells.b_eq, y)
+            assert cells.b_eq @ y == pytest.approx(rep.certificate_margin, rel=1e-12)
+            assert rep.certificate.margin == pytest.approx(
+                ref.certificate.margin, rel=1e-12)
+
+    @pytest.mark.parametrize("n, kw, shape", [
+        (2, {}, (25, 36)),
+        (2, {"shared": 0}, (20, 16)),
+        (2, {"shared": 4}, (17, 4)),
+        (3, {}, (91, 216)),
+        (3, {"cells_per_support": 5}, (91, 216)),
+    ])
+    def test_shape(self, n, kw, shape):
+        assert scene(n, **kw).a_eq.shape == shape
+
+    @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 4])
+    def test_four_copies(self, theta):
+        prob = scene(4, theta)
+        rep = nogo.lp_feasibility(prob)
+        assert prob.a_eq.shape == (337, 1296)
+        assert rep.status is LpStatus.INFEASIBLE
+        assert rep.certificate.margin == (2 / 4) ** 4
 
 
 class TestPhase1:

@@ -233,15 +233,14 @@ def _component_potentials(config: SternGerlachConfig, field_on: bool):
     return base + mag, base - mag
 
 
-def _cn_steps(config: SternGerlachConfig, field0: SpinorField, steps: int):
+def _cn_steps(config: SternGerlachConfig, up, down, steps: int):
     """The time-stepping loop: yield (up, down) after each of the steps.
 
-    A component that is identically zero at the start stays so (a zero RHS
-    solves to zero), so it is not stepped.  With b1 = 0 the field stage adds
-    nothing to the potentials, so both stages share one factorization.
+    A component given as None (identically zero, which stays so: a zero RHS
+    solves to zero) is not stepped and is yielded as None.  With b1 = 0 the
+    field stage adds nothing to the potentials, so both stages share one
+    factorization.
     """
-    up, down = field0.up, field0.down
-    live_up, live_down = up.any(), down.any()
     steppers = {}
     for n in range(steps):
         on = config.b1 != 0.0 and (n + 0.5) * config.dt < FIELD_OFF
@@ -249,9 +248,9 @@ def _cn_steps(config: SternGerlachConfig, field0: SpinorField, steps: int):
             v_up, v_down = _component_potentials(config, on)
             s_up = _stepper(config, v_up)
             steppers[on] = (s_up, s_up if v_down is v_up else _stepper(config, v_down))
-        if live_up:
+        if up is not None:
             up = steppers[on][0](up)
-        if live_down:
+        if down is not None:
             down = steppers[on][1](down)
         yield up, down
 
@@ -415,18 +414,17 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
                     grid, edges, dx, q, spin_blk[:i + 1], rho_blk[:i + 1])
         return rho
 
-    # A component zero at the start stays so (_cn_steps): None skips its diagnostics.
-    live_up, live_down = field0.up.any(), field0.down.any()
-    u0 = field0.up if live_up else None
-    d0 = field0.down if live_down else None
+    # A component zero at the start stays so: None skips its steps and diagnostics.
+    u0 = field0.up if field0.up.any() else None
+    d0 = field0.down if field0.down.any() else None
     rho0 = frame(0, u0, d0)
-    for k, (up, down) in enumerate(_cn_steps(config, field0, n_steps), 1):
-        u1, d1 = (up if live_up else None), (down if live_down else None)
+    for k, (u1, d1) in enumerate(_cn_steps(config, u0, d0, n_steps), 1):
         rho1 = frame(k, u1, d1)
         cont[k - 1] = _continuity_residual(config, u0, d0, u1, d1, rho0, rho1)
         u0, d0, rho0 = u1, d1, rho1
 
-    final = SpinorField(x=grid, dx=dx, up=up, down=down)
+    final = SpinorField(x=grid, dx=dx, up=field0.up if u0 is None else u0,
+                        down=field0.down if d0 is None else d0)
     return EvolutionRecord(
         config=config, times=times, norms=norms, continuity=cont,
         paths_x=paths_x, paths_sigma=paths_sigma, initial=field0, final=final,

@@ -14,22 +14,23 @@ Exit codes: 0 success, 1 scientific-check failure, 2 usage error (including
 input outside a documented domain: NogoError, OntologyError, DomainError,
 bohm.ConfigError, and a pbr-check option off its default in a scene that does
 not read it) and an OSError on a config file or an output path.  Artifacts
-are staged as temporary files in the output directory and renamed into place
-only when the subcommand returns (exit 0 or 1), so a usage error or any other
-exception leaves no file behind.  The output directory is created when the
-first artifact is staged, and removed again with the directories made for it
-when the run fails.
+are staged in one private directory (``.psilab-*``, made in the nearest
+existing ancestor of the output directory) and renamed into place only when
+the subcommand returns (exit 0 or 1).  The output directory is created then,
+so a usage error or any other exception leaves neither a file nor a
+directory behind.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
 import hashlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -128,34 +129,27 @@ def _config_hash(params: dict) -> str:
 
 
 class _Staged:
-    """The artifacts of one run: (temporary, target) paths in its output
-    directory, renamed into place by ``_commit``, and the directories the run
-    created for them (None until the first artifact is staged)."""
+    """The artifacts of one run, by name in staging order, written into a
+    private stage (None until the first artifact) and renamed into the output
+    directory by ``_commit``."""
 
     def __init__(self, out_dir: str):
         self.dir = out_dir
-        self.files = []
-        self.made = None
-
-
-def _make_dir(out: _Staged) -> None:
-    """Create the output directory, recording each directory made for it,
-    deepest first."""
-    made, path = [], out.dir
-    while path and not os.path.exists(path):
-        made.append(path)
-        path = os.path.dirname(path)
-    os.makedirs(out.dir, exist_ok=True)
-    out.made = made
+        self.stage = None
+        self.names = []
 
 
 def _write(out: _Staged, name: str, write) -> None:
     """Stage the artifact ``name``: ``write(fh)`` fills the open text file."""
-    if out.made is None:
-        _make_dir(out)
-    tmp = os.path.join(out.dir, f".{name}.{os.getpid()}.tmp")
-    with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
-        out.files.append((tmp, os.path.join(out.dir, name)))
+    if out.stage is None:
+        # The nearest existing ancestor keeps every rename on one file system.
+        parent = os.path.abspath(out.dir)
+        while not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        out.stage = tempfile.mkdtemp(prefix=".psilab-", dir=parent)
+    with open(os.path.join(out.stage, name), "x", encoding="utf-8",
+              newline="\n") as fh:
+        out.names.append(name)
         write(fh)
 
 
@@ -165,28 +159,22 @@ def _emit_json(out: _Staged, name: str, payload: dict) -> None:
 
 
 def _commit(out: _Staged) -> None:
-    """Rename every staged artifact into place, none if a target is a
-    directory."""
-    for _, path in out.files:
+    """Create the output directory and rename every staged artifact into
+    place, none if a target is a directory."""
+    targets = [os.path.join(out.dir, name) for name in out.names]
+    for path in targets:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    while out.files:
-        tmp, path = out.files.pop(0)
-        os.replace(tmp, path)
+    os.makedirs(out.dir, exist_ok=True)
+    for name, path in zip(out.names, targets):
+        os.replace(os.path.join(out.stage, name), path)
         print(f"wrote {path}")
-    out.made = []
 
 
 def _discard(out: _Staged) -> None:
-    """Delete the staged artifacts that were not committed, and the
-    directories the run created for them."""
-    for tmp, _ in out.files:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-    out.files.clear()
-    for path in out.made or ():
-        with contextlib.suppress(OSError):
-            os.rmdir(path)
+    """Delete the stage and whatever was not committed from it."""
+    if out.stage is not None:
+        shutil.rmtree(out.stage, ignore_errors=True)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -259,8 +259,9 @@ def pbr_scene_problem(
     Uniform preparation densities on two supports of ``cells_per_support``
     cells overlapping in ``shared`` cells; Born values from tensor powers of
     the state pair against the basis.  Defaults to the fixed 2-qubit basis
-    with the pair |0>, |+>.  Raises NogoError for ``cells_per_support < 1``,
-    ``shared`` outside [0, cells_per_support], or a ``qcore.NotFound`` basis.
+    with the pair |0>, |+>.  Raises NogoError for a cell count that is not an
+    integer (``int`` or NumPy integer), ``cells_per_support < 1``, ``shared``
+    outside [0, cells_per_support], or a ``qcore.NotFound`` basis.
 
     Cells whose density columns are equal are interchangeable, so the lambda
     space holds one cell per class, weighing its cell count: psi1 only
@@ -274,6 +275,9 @@ def pbr_scene_problem(
     b^T y.  The LP's iterations, phase-1 optimum and HiGHS's margin belong
     to this formulation, not to the scene.
     """
+    counts = (cells_per_support, shared)
+    if not all(isinstance(c, (int, np.integer)) for c in counts):
+        raise NogoError(f"cell counts must be integers, got {counts!r}")
     if cells_per_support < 1:
         raise NogoError(
             f"cells_per_support must be at least 1, got {cells_per_support}"

@@ -154,7 +154,7 @@ def reference_diagnostics(config, field0):
     prev = (field0.up, field0.down)
     rho, sig = frame(*prev)
     rhos, sigs, cont = [rho], [sig], []
-    for comps in bohm._cn_steps(config, field0, config.n_steps):
+    for comps in bohm._cn_steps(config, field0.up, field0.down, config.n_steps):
         rho, sig = frame(*comps)
         j = np.zeros(config.cells + 1)
         for a0, a1 in zip(prev, comps):

@@ -418,6 +418,36 @@ class TestOutputPaths:
                 run(argv)
         assert list(tmp_path.iterdir()) == []
 
+    def test_stale_temp_file_does_not_block_a_run(self, tmp_path):
+        """A temporary file left under this pid's name by an earlier, killed
+        run neither blocks the run nor is touched by it."""
+        stale = tmp_path / f".pbr_table.json.{os.getpid()}.tmp"
+        stale.write_text("stale")
+        assert run(["pbr-table", "--out", str(tmp_path)]) == 0
+        assert stale.read_text() == "stale"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            stale.name, "pbr_table.csv", "pbr_table.json"]
+
+    def test_failed_rerun_keeps_earlier_artifacts(self, tmp_path, monkeypatch):
+        """A rerun that fails partway leaves the earlier run's artifacts as
+        they were, and no stage in the output directory or its parent."""
+        out = tmp_path / "out"
+        argv = ["bohm-sg", "--n", "30", "--t-final", "0.05", "--csv",
+                "--out", str(out)]
+        assert run(argv) in (0, 1)  # artifacts are committed at exit 0 or 1
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["bohm_sg.json", "bohm_sg_trajectories.csv"]
+
+        def failing(fh, series, title):
+            fh.write("<svg")
+            raise RuntimeError("writer failed")
+
+        monkeypatch.setattr(svgplot, "render_lines", failing)
+        with pytest.raises(RuntimeError):
+            run([*argv, "--svg"])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
 
 class TestUsage:
     def test_unknown_subcommand(self):

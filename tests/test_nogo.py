@@ -614,10 +614,18 @@ class TestSceneDomain:
         {"cells_per_support": 0, "shared": 0},
         {"cells_per_support": 4, "shared": 2, "n": 3,
          "basis": qcore.NotFound(margin=0.261)},
+        # The counts weigh the cell classes: a fraction is not a cell count.
+        {"cells_per_support": 4.5, "shared": 2},
+        {"cells_per_support": 4, "shared": 1.5},
+        {"cells_per_support": 4.0, "shared": 2},
     ])
     def test_outside_domain_raises(self, kw):
         with pytest.raises(nogo.NogoError):
             nogo.pbr_scene_problem(**kw)
+
+    def test_numpy_integer_cell_counts_accepted(self):
+        problem = nogo.pbr_scene_problem(np.int64(4), np.int32(2))
+        assert problem.space.weights.tolist() == [2.0, 2.0, 2.0]
 
 
 class TestAgreement:

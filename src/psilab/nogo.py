@@ -9,7 +9,7 @@ The forcing verdict and the LP's reproduction rows share one Kronecker rule,
 from ``ontology.support_mask``, so each no-go verdict costs a fixed number of
 array operations whatever the constraints.
 A psi-ontic model with disjoint supports needs no construction here: the
-witness of a FEASIBLE verdict on disjoint supports is its response.
+Born witness of a FEASIBLE verdict on disjoint supports is its response.
 ``pbr_scene_problem`` builds each PBR scene on its three cell classes, an
 exact reduction to at most 3^n lambda tuples whatever the support size.
 Each scene fact is stated once: ``_zero_set`` is the one selection of the
@@ -18,10 +18,14 @@ zeros``), and ``ESCAPE_SCENES`` holds each escape scene as data (outcomes,
 context, cells, and per preparation its support, route and Born values),
 which the one builder ``contextual_escape`` turns into a model through
 ``ontology.routed_response``.
-``lp_feasibility`` alone judges an LP (``simplex.phase1`` only answers).  An
-INFEASIBLE verdict rests on a Farkas vector repaired to A^T y <= 0 before
-``is_farkas`` checks its margin, so a dual whose small positive A^T y could
-hide a feasible system is never the evidence.
+``lp_feasibility`` alone judges an LP.  It checks the closed-form evidence
+first (PBR's Farkas vector, then on disjoint supports the Born values as a
+universal response) and asks ``simplex.phase1`` only when neither decides,
+so a PBR scene never imports ``scipy.optimize``.  An INFEASIBLE verdict
+rests on a Farkas vector repaired to A^T y <= 0 before ``is_farkas`` checks
+its margin, so a dual whose small positive A^T y could hide a feasible
+system is never the evidence; a FEASIBLE one on a witness whose residual
+was checked, HiGHS's x polished on its support when it misses the check.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ from .simplex import LP_TOL, LpStatus, is_farkas, phase1
 ZERO_TOL = 1e-10
 # A response entry within this of 0 or 1 counts as deterministic.
 DETERMINISM_TOL = 1e-9
+# Entries of a solver witness above this form the support that polish re-solves on.
+POLISH_SUPPORT = 1e-12
 
 
 class NogoError(ValueError):
@@ -272,8 +278,9 @@ def pbr_scene_problem(
     is exact both ways (Boedi, Herr & Joswig, Math. Program. 137, 65
     (2013)): a class witness X lifts to the cells as xi(i|t) = X(i|C(t)), and
     a class Farkas vector as y_t = y_C prod_j w(t_j)/W(C_j) with the same
-    b^T y.  The LP's iterations, phase-1 optimum and HiGHS's margin belong
-    to this formulation, not to the scene.
+    b^T y.  HiGHS's iterations, phase-1 optimum and dual margin belong to
+    this formulation, not to the scene; the closed-form margin q^n, which
+    ``lp_feasibility`` reports, does not.
     """
     counts = (cells_per_support, shared)
     if not all(isinstance(c, (int, np.integer)) for c in counts):
@@ -310,6 +317,16 @@ def pbr_scene_problem(
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """A checked verdict and its evidence.
+
+    ``iterations`` counts HiGHS iterations, 0 when a closed form decided.
+    ``residual`` is max |A x - b| of the witness when FEASIBLE and, when
+    INFEASIBLE, the l1 gap b^T y / ||y||_inf that the Farkas vector proves:
+    for every x >= 0, ||A x - b||_1 >= b^T y / ||y||_inf, since A^T y <= 0.
+    ``certificate_margin`` is b^T y of the checked Farkas vector, q^n on
+    PBR's scenes.
+    """
+
     status: LpStatus
     witness: np.ndarray | None  # response table over (outcome, active-cell tuple)
     certificate: ContradictionCertificate | NoContradiction | None
@@ -319,41 +336,98 @@ class FeasibilityReport:
     certificate_margin: float | None  # b^T y of the Farkas vector
 
 
-def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
-    """The one judge of a no-go LP: ``phase1``'s answer in, checked verdict out.
+def _checked_farkas(problem: FeasibilityProblem, y: np.ndarray) -> np.ndarray | None:
+    """y repaired to A^T y <= 0 if ``is_farkas`` accepts it, else None.
 
-    Feasible: returns the response table found by the solver, whose residual
-    against the equalities was checked to be within simplex.LP_TOL.
-    Infeasible: returns a Farkas vector y with A^T y <= 0 up to round-off and
-    margin b^T y > LP_TOL, checked in numpy; the residual is the phase-1
-    optimum, and the closed-form forcing verdict is attached as a
-    cross-check.  y is the solver's duals or, when they fail the check,
-    PBR's closed-form vector (forcing weights, then -1 on the zero rows),
-    each first repaired: every column meets exactly one normalization row,
-    with coefficient 1, so taking eps = max(0, max A^T y) off the N
-    normalization components gives A^T y <= 0.  A feasible x has sum(x) = N
-    and b^T y = x^T A^T y, so the repaired margin b^T y - N eps is what y
-    proves.  Else indeterminate.
+    Every column meets exactly one normalization row, with coefficient 1,
+    so taking eps = max(0, max A^T y) off the N normalization components
+    gives A^T y <= 0.  A feasible x has sum(x) = N and b^T y = x^T A^T y,
+    so the repaired margin b^T y - N eps is what y proves.
     """
-    res = phase1(problem.a_eq, problem.b_eq)
-    if res.x is not None:
-        residual = float(np.max(np.abs(problem.a_eq @ res.x - problem.b_eq)))
-        if residual <= LP_TOL:
-            xi = res.x.reshape(problem.n_outcomes, *[len(problem.cells)] * problem.arity)
-            return FeasibilityReport(LpStatus.FEASIBLE, xi, None, residual,
-                                     res.iterations, None, None)
+    normalization = np.arange(y.size) < len(problem.cells) ** problem.arity
+    y = y - normalization * max(0.0, float(np.max(problem.a_eq.T @ y)))
+    return y if is_farkas(problem.a_eq, problem.b_eq, y) else None
+
+
+def _born_witness(problem: FeasibilityProblem) -> np.ndarray | None:
+    """xi(i|t) = Born(i | the preparation tuple whose supports hold t), when
+    every active cell lies in exactly one support and ``born`` holds every
+    (outcome, preparation tuple); else None.  Unchecked."""
+    mask = ont.support_mask(np.array([d.values for d in problem.densities]))
+    mask = mask[:, problem.cells]
+    combos = list(product(range(len(problem.densities)), repeat=problem.arity))
+    keys = [(i, c) for i in range(problem.n_outcomes) for c in combos]
+    if not (mask.sum(axis=0) == 1).all() or not all(k in problem.born for k in keys):
+        return None
+    owner = mask.argmax(axis=0)
+    code = np.zeros(1, dtype=int)  # each tuple's preparation tuple, in product order
+    for _ in range(problem.arity):
+        code = (code[:, None] * len(problem.densities) + owner).reshape(-1)
+    table = np.array([problem.born[k] for k in keys]).reshape(problem.n_outcomes, -1)
+    return table[:, code].reshape(-1)
+
+
+def _polished(problem: FeasibilityProblem, x: np.ndarray) -> np.ndarray:
+    """x re-solved on its support S = {x > POLISH_SUPPORT}: the least-squares
+    solution of A_S x_S = b, clipped at 0 (the crossover idea of Megiddo,
+    ORSA J. Comput. 3, 63 (1991)).  Unchecked."""
+    s = np.flatnonzero(x > POLISH_SUPPORT)
+    polished = np.zeros_like(x)
+    polished[s] = np.linalg.lstsq(problem.a_eq[:, s].toarray(), problem.b_eq,
+                                  rcond=None)[0]
+    return np.clip(polished, 0.0, None)
+
+
+def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
+    """The one judge of a no-go LP: evidence in, checked verdict out.
+
+    Evidence is tried cheapest first, and the first that passes its numpy
+    check decides:
+    1. PBR's closed-form Farkas vector (the ``_forcing`` weights on the
+       normalization rows, -1 on the zero rows), through ``_checked_farkas``;
+    2. when every active cell lies in exactly one support, the Born
+       witness of ``_born_witness``, checked at simplex.LP_TOL;
+    3. ``phase1``: HiGHS's x, then x polished on its support, each checked
+       at LP_TOL, then HiGHS's duals through ``_checked_farkas``.
+    Else INDETERMINATE.  So a scene that a closed form decides never imports
+    ``scipy.optimize``.  The closed-form forcing verdict is attached to an
+    INFEASIBLE report as a cross-check.
+    """
     y_norm, forcing = _forcing(problem.densities, problem.cells, problem.zeros,
                                problem.n_outcomes, problem.arity)
     # Born values follow y_norm in b_eq.
     closed = np.append(y_norm, np.where(problem.b_eq[len(y_norm):] < ZERO_TOL, -1.0, 0.0))
-    normalization = np.arange(problem.b_eq.size) < len(y_norm)
-    for y in ([] if res.y is None else [res.y]) + [closed]:
-        y = y - normalization * max(0.0, float(np.max(problem.a_eq.T @ y)))
-        if is_farkas(problem.a_eq, problem.b_eq, y):
-            return FeasibilityReport(
-                LpStatus.INFEASIBLE, None, forcing, res.objective, res.iterations, y,
-                float(problem.b_eq @ y),
-            )
+
+    def infeasible(y, iterations):
+        margin = float(problem.b_eq @ y)
+        return FeasibilityReport(LpStatus.INFEASIBLE, None, forcing,
+                                 margin / float(np.max(np.abs(y))), iterations, y, margin)
+
+    def witnessed(x, iterations):
+        if x is None:
+            return None
+        residual = float(np.max(np.abs(problem.a_eq @ x - problem.b_eq)))
+        if residual > LP_TOL:
+            return None
+        xi = x.reshape(problem.n_outcomes, *[len(problem.cells)] * problem.arity)
+        return FeasibilityReport(LpStatus.FEASIBLE, xi, None, residual, iterations,
+                                 None, None)
+
+    y = _checked_farkas(problem, closed)
+    if y is not None:
+        return infeasible(y, 0)
+    report = witnessed(_born_witness(problem), 0)
+    if report is not None:
+        return report
+    res = phase1(problem.a_eq, problem.b_eq)
+    if res.x is not None:
+        report = (witnessed(res.x, res.iterations)
+                  or witnessed(_polished(problem, res.x), res.iterations))
+        if report is not None:
+            return report
+    y = None if res.y is None else _checked_farkas(problem, res.y)
+    if y is not None:
+        return infeasible(y, res.iterations)
     return FeasibilityReport(LpStatus.INDETERMINATE, None, None, np.nan,
                              res.iterations, None, None)
 

@@ -1,4 +1,5 @@
 import errno
+import importlib.util
 import json
 import os
 import subprocess
@@ -64,7 +65,7 @@ class TestPbrCheck:
         assert payload["has_certificate"]
         assert payload["n_zero_constraints"] == 4
         assert payload["max_zero_born_value"] < 1e-12
-        assert payload["certificate_margin"] == pytest.approx(2.0, abs=1e-9)
+        assert payload["certificate_margin"] == pytest.approx(0.25, abs=1e-9)  # q^n = (2/4)^2
         assert payload["config_hash"] == CONFIG_HASH["pbr-check-overlap"]
 
     def test_disjoint_scene_feasible(self, tmp_path):
@@ -118,6 +119,38 @@ def test_module_entry_point_imports_cli_once(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "pbr_table.json").exists()
+
+
+def test_pbr_check_cases_need_no_solver(tmp_path, monkeypatch):
+    """Every pbr-check case of tools/snapshot_artifacts.py gets its expected
+    verdict from a closed form: PBR's Farkas vector or the Born witness."""
+    def no_solver(a, b):
+        raise AssertionError("phase1 called")
+
+    monkeypatch.setattr(nogo, "phase1", no_solver)
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "snapshot_artifacts.py")
+    spec = importlib.util.spec_from_file_location("snapshot_artifacts", path)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    cases = {case: argv for case, argv in snapshot.CASES.items()
+             if argv[0] == "pbr-check"}
+    assert len(cases) == 8
+    for case, argv in cases.items():
+        assert run([*argv, "--out", str(tmp_path / case)]) == 0, case
+
+
+def test_pbr_check_imports_no_solver(tmp_path):
+    """A pbr-check run never imports scipy.optimize (~20 MB of RSS)."""
+    src = os.path.dirname(os.path.dirname(psilab.__file__))
+    code = ("import sys; from psilab import cli; "
+            "rc = cli.main(['pbr-check', '--scene', 'n3', '--cells-per-support', "
+            "'5', '--shared', '2', '--out', sys.argv[1]]); "
+            "print(rc, 'scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], cwd=src,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_library_import_loads_no_scipy():

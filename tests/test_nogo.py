@@ -322,6 +322,18 @@ def closed_form_farkas(prob):
     return np.concatenate([y_norm, rows])
 
 
+def thin_overlap(shared):
+    """The 2-copy problem whose supports share ``shared`` > 0 cells of weight
+    0.01, where psi1 has 0.01 and psi2 1 against psi1's 100 on its private
+    cell of weight 2.  It is INFEASIBLE, but PBR's closed-form b^T y, the
+    forced mass (about 5e-7)^2 per shared tuple, lies below LP_TOL, so only
+    HiGHS's duals prove it."""
+    weights = [0.01] * shared + [2.0]
+    return two_qubit_problem(weights, {**dict.fromkeys(range(shared), 0.01),
+                                       shared: 100.0},
+                             dict.fromkeys(range(shared), 1.0))
+
+
 def random_problem(seed):
     """A 1-copy universal-response problem with random sparse densities and
     random Born values (the draw order fixes the problem for a seed)."""
@@ -338,20 +350,23 @@ def random_problem(seed):
     return nogo.build_feasibility_problem(space, dens, born, 2, 1)
 
 
-def assert_checked_evidence(prob, rep, tol=1e-9):
+def assert_checked_evidence(prob, rep, tol=1e-9, pbr=True):
     """The verdict's witness or Farkas vector, and PBR's closed-form Farkas
     vector, re-checked in numpy; returns the closed-form margin b^T y at unit
     scale (largest normalization weight 1).
 
     A positive multiple of a Farkas vector is one too.  Unscaled, b^T y is the
-    forced mass, which a tiny overlap drives below any fixed tolerance.
+    forced mass, which a tiny overlap drives below any fixed tolerance.  On a
+    PBR scene (``pbr``) the closed form proves every INFEASIBLE verdict; on
+    other problems a closed-form proof must only be honoured.
     """
     y = closed_form_farkas(prob)
     y_norm = y[: len(prob.cells) ** prob.arity]
     y = y / (np.max(y_norm, initial=0.0) or 1.0)
     assert np.max(prob.a_eq.T @ y) <= tol
     margin = prob.b_eq @ y
-    assert (margin > tol) == (rep.status is LpStatus.INFEASIBLE)
+    if pbr or margin > tol:
+        assert (margin > tol) == (rep.status is LpStatus.INFEASIBLE)
     if rep.status is LpStatus.FEASIBLE:
         x = rep.witness.reshape(-1)
         assert np.min(x) >= 0.0
@@ -362,7 +377,10 @@ def assert_checked_evidence(prob, rep, tol=1e-9):
         assert np.max(prob.a_eq.T @ y) <= ROUND_OFF  # repaired: A^T y <= 0
         assert rep.certificate_margin == pytest.approx(prob.b_eq @ y, abs=0)
         assert prob.b_eq @ y > tol
-        assert rep.certificate.margin == np.sum(y_norm)
+        # The l1 gap y proves: ||A x - b||_1 >= b^T y / ||y||_inf for x >= 0.
+        assert rep.residual == pytest.approx(prob.b_eq @ y / np.max(np.abs(y)),
+                                             rel=1e-12)
+        assert getattr(rep.certificate, "margin", 0.0) == np.sum(y_norm)
     return margin
 
 
@@ -390,16 +408,22 @@ class TestCertificates:
     ])
     def test_phase1_optimum_is_two_to_the_n_plus_one(self, n, theta):
         """Observed regression value for cells_per_support=4, shared=2, with
-        PBR's closed-form basis."""
+        PBR's closed-form basis: HiGHS's phase-1 optimum, which its repaired
+        duals prove.  ``lp_feasibility`` reports the closed form's margin
+        q^n instead, and its l1 gap lies below the optimum (weak duality)."""
         prob = cell_scene(n, theta)
-        rep = nogo.lp_feasibility(prob)
-        assert rep.status is LpStatus.INFEASIBLE
-        y = rep.farkas
+        res = phase1(prob.a_eq, prob.b_eq)
+        assert res.objective == pytest.approx(2**n + 1, abs=1e-9)
+        y = nogo._checked_farkas(prob, res.y)
         assert np.max(prob.a_eq.T @ y) <= 1e-9
         assert prob.b_eq @ y == pytest.approx(2**n + 1, abs=1e-9)
-        assert rep.certificate_margin == pytest.approx(2**n + 1, abs=1e-9)
+        rep = nogo.lp_feasibility(prob)
+        assert rep.status is LpStatus.INFEASIBLE
+        assert rep.iterations == 0
         # PBR's closed form: the forced tuples carry mass q^n, q = shared/cells.
+        assert rep.certificate_margin == pytest.approx((2 / 4) ** n, abs=1e-15)
         assert rep.certificate.margin == pytest.approx((2 / 4) ** n, abs=1e-15)
+        assert rep.residual <= res.objective
         assert_checked_evidence(prob, rep)
 
     @pytest.mark.parametrize("kw", [
@@ -443,22 +467,31 @@ class TestCertificates:
         > LP_TOL at b^T y = 6.97.  Taking that off the 25 normalization
         components gives A^T y <= 0 at margin 6.97 - 25 * 1.8e-9, which
         certifies the overlap without PBR's closed-form vector (margin
-        0.987)."""
+        0.987, the evidence ``lp_feasibility`` reports, since it asks the
+        closed form first)."""
         prob = two_qubit_problem([63, 0.01, 1, 1, 0.01],
                                  {0: 5, 1: 1, 2: 1, 3: 1, 4: 1}, {0: 6, 1: 1})
+        duals = phase1(prob.a_eq, prob.b_eq).y
+        assert not is_farkas(prob.a_eq, prob.b_eq, duals)
+        y = nogo._checked_farkas(prob, duals)
+        assert y is not None
+        assert not np.array_equal(y, closed_form_farkas(prob))
+        assert np.max(prob.a_eq.T @ y) <= ROUND_OFF
+        assert prob.b_eq @ y == pytest.approx(6.9747, abs=1e-4)
         rep = nogo.lp_feasibility(prob)
         assert rep.status is LpStatus.INFEASIBLE
-        assert not np.array_equal(rep.farkas, closed_form_farkas(prob))
-        assert rep.certificate_margin == pytest.approx(6.9747, abs=1e-4)
+        assert rep.certificate_margin == pytest.approx(0.987, abs=1e-3)
         assert_checked_evidence(prob, rep)
 
     def test_dual_that_proves_nothing_is_rejected(self, monkeypatch):
         """y = 0.9 LP_TOL on each normalization row and 0 elsewhere passes
-        ``is_farkas`` on the FEASIBLE disjoint scene: max A^T y = 9e-10 and
-        b^T y = 4 * 9e-10.  But b^T y = x^T A^T y for any witness x, whose
-        4 tuples each sum to 1, so y proves nothing.  The repair leaves
-        margin 0, and the verdict is not INFEASIBLE."""
-        prob = nogo.pbr_scene_problem(4, 0)
+        ``is_farkas`` on the FEASIBLE ``random_problem(8)``, whose supports
+        overlap, so that no closed form decides it and ``phase1`` answers:
+        max A^T y = 9e-10 and b^T y = N * 9e-10 over its N tuples.  But
+        b^T y = x^T A^T y for any witness x, whose N tuples each sum to 1, so
+        y proves nothing.  The repair leaves margin 0, and the verdict is not
+        INFEASIBLE."""
+        prob = random_problem(8)
         y = np.zeros(prob.b_eq.size)
         y[: len(prob.cells) ** prob.arity] = 0.9 * LP_TOL
         assert is_farkas(prob.a_eq, prob.b_eq, y)
@@ -471,9 +504,22 @@ class TestCertificates:
         duals pass the unrepaired ``is_farkas`` with margin 1.1e-9 at max
         A^T y = 6.1e-10; at feasibility tolerances of 1e-10 it is FEASIBLE
         with residual 6.2e-10.  The repaired margin is negative, so the duals
-        certify nothing."""
+        certify nothing.  HiGHS's clipped x misses LP_TOL (5.1e-9); polished
+        on its support it is a checked witness."""
         prob = random_problem(4)
-        assert nogo.lp_feasibility(prob).status is not LpStatus.INFEASIBLE
+        rep = nogo.lp_feasibility(prob)
+        assert rep.status is LpStatus.FEASIBLE
+        assert rep.iterations > 0
+        assert_checked_evidence(prob, rep, pbr=False)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_problems_decided_with_checked_evidence(self, seed):
+        """Every random problem is decided, 18 of the 60 through the witness
+        polish, and its evidence passes the numpy re-check."""
+        prob = random_problem(seed)
+        rep = nogo.lp_feasibility(prob)
+        assert rep.status in (LpStatus.FEASIBLE, LpStatus.INFEASIBLE)
+        assert_checked_evidence(prob, rep, pbr=False)
 
     @pytest.mark.parametrize("shared, corrupt", [
         (2, lambda res: setattr(res.eqlin, "marginals", -res.eqlin.marginals)),
@@ -484,38 +530,49 @@ class TestCertificates:
     def test_unchecked_solver_output_is_indeterminate(
         self, monkeypatch, shared, corrupt
     ):
-        """Solver output that fails its check is never the evidence.  With
-        disjoint supports the verdict is INDETERMINATE.  With overlapping
-        ones it rests on the repaired duals when they pass the check (duals
-        shifted up by 1e-6: the repair takes the shift off A^T y) and on
-        PBR's closed-form Farkas vector otherwise (negated duals)."""
+        """Solver output that fails its check is never the evidence.  The
+        problems are ones that no closed form decides, so HiGHS answers: with
+        ``shared`` cells shared, ``thin_overlap(shared)`` (INFEASIBLE); with
+        none, ``random_problem(8)`` (FEASIBLE on overlapping supports, since
+        disjoint ones get the Born witness).  Corrupted duals: the verdict
+        rests on the repaired duals when they pass the check (shifted up by
+        1e-6: the repair takes the shift off A^T y), else it is INDETERMINATE
+        (negated).  A corrupted x misses LP_TOL, and polish on its support
+        gives a checked witness that is not the corrupted x."""
         real = scipy.optimize.linprog
         seen = {}
 
         def bad_linprog(*args, **kwargs):
             res = real(*args, **kwargs)
             corrupt(res)
+            seen["x"] = np.clip(res.x[: prob.a_eq.shape[1]], 0.0, None)
             seen["y"] = np.asarray(res.eqlin.marginals, dtype=float)
             return res
 
         monkeypatch.setattr(scipy.optimize, "linprog", bad_linprog)
-        prob = nogo.pbr_scene_problem(4, shared)
+        prob = thin_overlap(shared) if shared else random_problem(8)
         rep = nogo.lp_feasibility(prob)
-        assert rep.witness is None
         if shared:
-            assert rep.status is LpStatus.INFEASIBLE
+            assert rep.witness is None
             y = seen["y"]
             eps = max(0.0, float(np.max(prob.a_eq.T @ y)))
             repaired = y - eps * (np.arange(y.size) < len(prob.cells) ** prob.arity)
-            closed = closed_form_farkas(prob)
-            want = repaired if is_farkas(prob.a_eq, prob.b_eq, repaired) else closed
-            assert np.array_equal(rep.farkas, want)
-            assert not np.array_equal(rep.farkas, y)
-            assert np.max(prob.a_eq.T @ rep.farkas) <= ROUND_OFF
-            assert_checked_evidence(prob, rep)
+            # The shifted duals pass once repaired, the negated ones do not.
+            if is_farkas(prob.a_eq, prob.b_eq, repaired):
+                assert rep.status is LpStatus.INFEASIBLE
+                assert np.array_equal(rep.farkas, repaired)
+                assert not np.array_equal(rep.farkas, y)
+                assert np.max(prob.a_eq.T @ rep.farkas) <= ROUND_OFF
+                assert_checked_evidence(prob, rep)
+            else:
+                assert rep.status is LpStatus.INDETERMINATE
+                assert rep.farkas is None
         else:
-            assert rep.status is LpStatus.INDETERMINATE
-            assert rep.farkas is None
+            x = seen["x"]
+            assert np.max(np.abs(prob.a_eq @ x - prob.b_eq)) > LP_TOL
+            assert rep.status is LpStatus.FEASIBLE
+            assert not np.array_equal(rep.witness.reshape(-1), x)
+            assert_checked_evidence(prob, rep, pbr=False)
 
 
 def class_map(cells, classes):
@@ -562,6 +619,28 @@ class TestClassScene:
             assert cells.b_eq @ y == pytest.approx(rep.certificate_margin, rel=1e-12)
             assert rep.certificate.margin == pytest.approx(
                 ref.certificate.margin, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cells_per_support=st.integers(1, 5), n=st.sampled_from([2, 3]),
+           data=st.data())
+    def test_closed_form_verdict_matches_phase1(self, cells_per_support, n, data):
+        """HiGHS as the oracle of the closed forms that decide every class
+        scene: the same verdict as phase1's checked x or repaired duals, PBR's
+        margin q^n, and an l1 gap no larger than the phase-1 optimum (weak
+        duality: the optimum is min ||A x - b||_1 over x >= 0)."""
+        shared = data.draw(st.integers(0, cells_per_support))
+        prob = scene(n, cells_per_support=cells_per_support, shared=shared)
+        rep = nogo.lp_feasibility(prob)
+        res = phase1(prob.a_eq, prob.b_eq)
+        if np.max(np.abs(prob.a_eq @ res.x - prob.b_eq)) <= LP_TOL:
+            assert rep.status is LpStatus.FEASIBLE
+        else:
+            assert nogo._checked_farkas(prob, res.y) is not None
+            assert rep.status is LpStatus.INFEASIBLE
+            assert rep.certificate_margin == pytest.approx(
+                (shared / cells_per_support) ** n, rel=1e-12)
+            assert rep.residual <= res.objective
+        assert rep.iterations == 0
 
     @pytest.mark.parametrize("n, kw, shape", [
         (2, {}, (25, 36)),

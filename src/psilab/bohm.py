@@ -15,17 +15,18 @@ builds.  Every evolution starts at t = 0.
 Numerics: Crank-Nicolson stepping per component on a uniform grid with
 hard-wall boundaries (norm-preserving by construction); the tridiagonal
 matrix of each potential is LU-factored once (LAPACK zgttrf) and every step
-is one solve on those factors (zgttrs), both components share one
-factorization when they see the same potential, and a component that is
-identically zero at the start is not stepped.  Initial positions are
-inverse-CDF samples from |psi(0)|^2 drawn with a seeded PCG64 generator, and
-trajectories come from the 1-D quantile map x_t = F_t^-1(F_0(x0)).  Guidance
-trajectories in one dimension never cross and keep the ensemble
-|psi|^2-distributed, so the point that starts at quantile u of rho_0 sits at
-quantile u of rho_t.  F_t is the cumulative density at cell edges; the
-stepper conserves the midpoint edge current exactly, so F_t is the integral
-of the flux it carries.  That edge current (``_edge_current``) is the one
-current the module computes.
+is one solve on those factors (zgttrs), keyed by potential.  ``simulate``
+decides once which components are live (one zero at the start stays so) and
+steps and reduces only that tuple; a component's sign s (+1 up, -1 down)
+sets both its potential (static + s*b1*x while the field is on) and its
+share s*|c|^2 of the spin.  Initial positions are inverse-CDF samples from
+|psi(0)|^2 drawn with a seeded PCG64 generator, and trajectories come from
+the 1-D quantile map x_t = F_t^-1(F_0(x0)).  Guidance trajectories in one
+dimension never cross and keep the ensemble |psi|^2-distributed, so the
+point that starts at quantile u of rho_0 sits at quantile u of rho_t.  F_t is
+the cumulative density at cell edges; the stepper conserves the midpoint
+edge current exactly, so F_t is the integral of the flux it carries.  That
+edge current (``_edge_current``) is the one current the module computes.
 
 ``simulate`` streams the evolution: each frame is reduced to its norm and
 continuity residual and then dropped, so the record keeps no per-frame
@@ -223,36 +224,28 @@ def _stepper(config: SternGerlachConfig, potential: np.ndarray):
     return step
 
 
-def _component_potentials(config: SternGerlachConfig, field_on: bool):
-    base = np.zeros(config.cells)
-    if config.static_potential is not None:
-        base = base + config.static_potential
-    if not field_on:
-        return base, base
-    mag = config.b1 * config.x
-    return base + mag, base - mag
+def _potential(config: SternGerlachConfig, s: int) -> np.ndarray:
+    """The static potential plus s * b1 * x."""
+    base = 0.0 if config.static_potential is None else config.static_potential
+    return base + s * config.b1 * config.x
 
 
-def _cn_steps(config: SternGerlachConfig, up, down, steps: int):
-    """The time-stepping loop: yield (up, down) after each of the steps.
+def _cn_steps(config: SternGerlachConfig, signs, comps, steps: int):
+    """The time-stepping loop: yield the tuple of components after each step.
 
-    A component given as None (identically zero, which stays so: a zero RHS
-    solves to zero) is not stepped and is yielded as None.  With b1 = 0 the
-    field stage adds nothing to the potentials, so both stages share one
-    factorization.
+    A component of sign s feels ``_potential`` s while the field is on and 0
+    after; steppers are keyed by that potential, so each is factored once
+    and shared by the components that see it (with b1 = 0, potential 0).
     """
     steppers = {}
     for n in range(steps):
         on = config.b1 != 0.0 and (n + 0.5) * config.dt < FIELD_OFF
-        if on not in steppers:
-            v_up, v_down = _component_potentials(config, on)
-            s_up = _stepper(config, v_up)
-            steppers[on] = (s_up, s_up if v_down is v_up else _stepper(config, v_down))
-        if up is not None:
-            up = steppers[on][0](up)
-        if down is not None:
-            down = steppers[on][1](down)
-        yield up, down
+        keys = signs if on else (0,) * len(signs)
+        for key in keys:
+            if key not in steppers:
+                steppers[key] = _stepper(config, _potential(config, key))
+        comps = tuple(steppers[key](c) for key, c in zip(keys, comps))
+        yield comps
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +253,15 @@ def _cn_steps(config: SternGerlachConfig, up, down, steps: int):
 # ---------------------------------------------------------------------------
 
 
-def _edge_current(up, down, dx: float) -> np.ndarray:
-    """Current through the cells + 1 edges, summed over components.
+def _edge_current(comps, dx: float) -> np.ndarray:
+    """Current through the cells + 1 edges, summed over the components.
 
-    Interior edge k + 1/2 carries Im(conj(psi_k) psi_k+1) / dx;
-    the hard walls and a component given as None (identically zero) carry none.
+    Interior edge k + 1/2 carries Im(conj(psi_k) psi_k+1) / dx; the hard
+    walls carry none.
     """
-    j = np.zeros(len(up if down is None else down) + 1)
-    for a in (up, down):
-        if a is not None:
-            j[1:-1] += np.imag(np.conj(a[:-1]) * a[1:])
+    j = np.zeros(len(comps[0]) + 1)
+    for a in comps:
+        j[1:-1] += np.imag(np.conj(a[:-1]) * a[1:])
     return (1.0 / dx) * j
 
 
@@ -301,12 +293,14 @@ class EvolutionRecord:
     final: SpinorField
 
 
-def _densities(up, down):
-    """|up|^2 - |down|^2 and rho = |up|^2 + |down|^2; a component given as
-    None is 0."""
-    up2 = 0.0 if up is None else np.abs(up) ** 2
-    down2 = 0.0 if down is None else np.abs(down) ** 2
-    return up2 - down2, up2 + down2
+def _densities(signs, comps):
+    """The spin sum(s |c|^2) (|up|^2 - |down|^2) and rho = sum(|c|^2) of the
+    components c with signs s."""
+    spin = rho = 0.0
+    for s, c in zip(signs, comps):
+        a = np.abs(c) ** 2
+        spin, rho = (spin + a if s > 0 else spin - a), rho + a
+    return spin, rho
 
 
 def _local_spin(spin, rho):
@@ -318,15 +312,14 @@ def _local_spin(spin, rho):
     return np.clip(sig, -1.0, 1.0, out=sig)
 
 
-def _continuity_residual(config, up0, down0, up1, down1, rho0, rho1):
+def _continuity_residual(config, comps0, comps1, rho0, rho1):
     """Discrete conservation residual over one step.
 
-    Uses the edge current of the time-midpoint field, which is the current
-    the implicit stepper conserves exactly; ``rho0``/``rho1`` are the
+    Uses the edge current of the time-midpoint components, which is the
+    current the implicit stepper conserves exactly; ``rho0``/``rho1`` are the
     densities of the two frames.
     """
-    j = _edge_current(None if up0 is None else 0.5 * (up0 + up1),
-                      None if down0 is None else 0.5 * (down0 + down1),
+    j = _edge_current([0.5 * (a0 + a1) for a0, a1 in zip(comps0, comps1)],
                       config.dx)
     div = np.diff(j) / config.dx
     return float(np.max(np.abs((rho1 - rho0) / config.dt + div)))
@@ -389,6 +382,10 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
     if field0 is None:
         field0 = prepare(config, theta)
     _, q = _start_quantiles(config, field0, points)
+    # The live components, decided once: one zero at the start stays so (a
+    # zero RHS solves to zero), so it is neither stepped nor reduced.
+    signs, comps0 = zip(*[(s, c) for s, c in ((1, field0.up), (-1, field0.down))
+                          if c.any()])
     grid, dx, n_steps = config.x, config.dx, config.n_steps
     edges = _edges(grid, dx)
     times = config.dt * np.arange(n_steps + 1)
@@ -402,9 +399,9 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
     block = min(PATH_BLOCK, n_steps + 1) if len(q) else 0
     spin_blk, rho_blk = np.empty((block, len(grid))), np.empty((block, len(grid)))
 
-    def frame(k, up, down):
+    def frame(k, comps):
         """Record frame k's norm and tracked points; return its density."""
-        spin, rho = _densities(up, down)
+        spin, rho = _densities(signs, comps)
         norms[k] = np.sum(rho) * dx
         if block:
             i = k % block
@@ -414,17 +411,15 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
                     grid, edges, dx, q, spin_blk[:i + 1], rho_blk[:i + 1])
         return rho
 
-    # A component zero at the start stays so: None skips its steps and diagnostics.
-    u0 = field0.up if field0.up.any() else None
-    d0 = field0.down if field0.down.any() else None
-    rho0 = frame(0, u0, d0)
-    for k, (u1, d1) in enumerate(_cn_steps(config, u0, d0, n_steps), 1):
-        rho1 = frame(k, u1, d1)
-        cont[k - 1] = _continuity_residual(config, u0, d0, u1, d1, rho0, rho1)
-        u0, d0, rho0 = u1, d1, rho1
+    rho0 = frame(0, comps0)
+    for k, comps1 in enumerate(_cn_steps(config, signs, comps0, n_steps), 1):
+        rho1 = frame(k, comps1)
+        cont[k - 1] = _continuity_residual(config, comps0, comps1, rho0, rho1)
+        comps0, rho0 = comps1, rho1
 
-    final = SpinorField(x=grid, dx=dx, up=field0.up if u0 is None else u0,
-                        down=field0.down if d0 is None else d0)
+    live = dict(zip(signs, comps0))
+    final = SpinorField(x=grid, dx=dx, up=live.get(1, field0.up),
+                        down=live.get(-1, field0.down))
     return EvolutionRecord(
         config=config, times=times, norms=norms, continuity=cont,
         paths_x=paths_x, paths_sigma=paths_sigma, initial=field0, final=final,
@@ -456,7 +451,7 @@ def integrate_ensemble(record: EvolutionRecord, x0s) -> EnsembleTrajectories:
     config, final = record.config, record.final
     x0, q = _start_quantiles(config, record.initial, x0s)
     grid, dx = config.x, config.dx
-    spin, rho = _densities(final.up, final.down)
+    spin, rho = _densities((1, -1), (final.up, final.down))
     (final_x,), (final_sigma,) = _quantile_map(grid, _edges(grid, dx), dx, q,
                                                spin[None], rho[None])
     outcomes = np.zeros(x0.shape, dtype=int)

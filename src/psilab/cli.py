@@ -3,12 +3,12 @@
 Subcommands: pbr-table, pbr-check, escape-demo, bohm-sg, bohm-bs, selftest.
 Parameters come from the command line and/or a flat key=value config file
 (`#` comments allowed).  Each file value is checked and becomes its option's
-default, so the command line wins (abbreviated flags included) and a
-malformed value fails even where the command line overrides it.  `main`
-heads every JSON payload with the scenario and `config_hash`: the sha256 of
-the scenario and every option except `config`, `out`, `paths`, `csv` and
-`svg`, which choose where or whether artifacts are written.  Artifacts are
-byte-identical for identical config + seed.
+default, so the command line wins (abbreviated flags included), and a
+malformed value or a key given twice fails even where the command line
+overrides it.  `main` heads every JSON payload with the scenario and
+`config_hash`: the sha256 of the scenario and every option except `config`,
+`out`, `paths`, `csv` and `svg`, which choose where or whether artifacts are
+written.  Artifacts are byte-identical for identical config + seed.
 
 Exit codes: 0 success, 1 scientific-check failure, 2 usage error (including
 input outside a documented domain: NogoError, OntologyError, DomainError,
@@ -81,7 +81,11 @@ def _parse_kv_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        entries[key.strip().replace("-", "_")] = (value.strip(), lineno)
+        key = key.strip().replace("-", "_")
+        if key in entries:
+            raise UsageError(f"{path}:{lineno}: key {key!r} repeats line "
+                             f"{entries[key][1]}")
+        entries[key] = (value.strip(), lineno)
     return entries
 
 
@@ -337,15 +341,13 @@ def _parser_bohm_sg() -> argparse.ArgumentParser:
     return p
 
 
-def _check_ensemble_args(ns) -> None:
-    # bohm rejects paths above n.  Without --csv/--svg _kept_paths passes 0,
-    # so a negative --paths would never reach it: it is checked here.
+def _kept_paths(ns) -> int:
+    """How many of the sampled points the run tracks for the CSV/SVG.
+
+    A negative --paths is an error even without --csv/--svg (bohm checks
+    paths above n)."""
     if ns.paths < 0:
         raise UsageError(f"paths must be at least 0, got {ns.paths}")
-
-
-def _kept_paths(ns) -> int:
-    """How many of the sampled points the run tracks for the CSV/SVG."""
     return ns.paths if (ns.csv or ns.svg) else 0
 
 
@@ -364,11 +366,11 @@ def _write_paths(ns, out, stem, title, record: bohm.EvolutionRecord) -> None:
 
 
 def _run_bohm_sg(ns, out, head) -> int:
-    _check_ensemble_args(ns)
+    paths = _kept_paths(ns)
     cfg = bohm.SternGerlachConfig(
         cells=ns.cells, dt=ns.dt, t_final=ns.t_final, b1=ns.b1
     )
-    run = bohm.run_ensemble(cfg, ns.theta, ns.n, ns.seed, _kept_paths(ns))
+    run = bohm.run_ensemble(cfg, ns.theta, ns.n, ns.seed, paths)
     payload = {
         **head,
         "theta": ns.theta,
@@ -392,7 +394,6 @@ def _parser_bohm_bs() -> argparse.ArgumentParser:
 
 
 def _run_bohm_bs(ns, out, head) -> int:
-    _check_ensemble_args(ns)
     run = bohm.beam_splitter_scene(ns.prep, ns.n, ns.seed, _kept_paths(ns))
     stats = run.stats
     # Gate 3 is the + (x > 0) exit, gate 4 the - exit.

@@ -350,21 +350,18 @@ def _checked_farkas(problem: FeasibilityProblem, y: np.ndarray) -> np.ndarray | 
 
 
 def _born_witness(problem: FeasibilityProblem) -> np.ndarray | None:
-    """xi(i|t) = Born(i | the preparation tuple whose supports hold t), when
-    every active cell lies in exactly one support and ``born`` holds every
-    (outcome, preparation tuple); else None.  Unchecked."""
-    mask = ont.support_mask(np.array([d.values for d in problem.densities]))
-    mask = mask[:, problem.cells]
+    """xi(i|t) = the sum of Born(i|c) over the preparation tuples c whose
+    supports hold t (one Kronecker row of the support masks per c), when
+    ``born`` holds every (outcome, preparation tuple); else None.  Unchecked:
+    where supports overlap, the sum breaks normalization by at least 1."""
     combos = list(product(range(len(problem.densities)), repeat=problem.arity))
     keys = [(i, c) for i in range(problem.n_outcomes) for c in combos]
-    if not (mask.sum(axis=0) == 1).all() or not all(k in problem.born for k in keys):
+    if not all(k in problem.born for k in keys):
         return None
-    owner = mask.argmax(axis=0)
-    code = np.zeros(1, dtype=int)  # each tuple's preparation tuple, in product order
-    for _ in range(problem.arity):
-        code = (code[:, None] * len(problem.densities) + owner).reshape(-1)
+    mask = ont.support_mask(np.array([d.values for d in problem.densities]))
     table = np.array([problem.born[k] for k in keys]).reshape(problem.n_outcomes, -1)
-    return table[:, code].reshape(-1)
+    held = _kron_rows(mask[:, problem.cells].astype(float), combos, problem.arity)
+    return (table @ held).reshape(-1)
 
 
 def _polished(problem: FeasibilityProblem, x: np.ndarray) -> np.ndarray:
@@ -385,8 +382,8 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
     check decides:
     1. PBR's closed-form Farkas vector (the ``_forcing`` weights on the
        normalization rows, -1 on the zero rows), through ``_checked_farkas``;
-    2. when every active cell lies in exactly one support, the Born
-       witness of ``_born_witness``, checked at simplex.LP_TOL;
+    2. the Born witness of ``_born_witness``, checked at simplex.LP_TOL
+       (it breaks normalization where supports overlap);
     3. ``phase1``: HiGHS's x, then x polished on its support, each checked
        at LP_TOL, then HiGHS's duals through ``_checked_farkas``.
     Else INDETERMINATE.  So a scene that a closed form decides never imports

@@ -154,7 +154,8 @@ def reference_diagnostics(config, field0):
     prev = (field0.up, field0.down)
     rho, sig = frame(*prev)
     rhos, sigs, cont = [rho], [sig], []
-    for comps in bohm._cn_steps(config, field0.up, field0.down, config.n_steps):
+    for comps in bohm._cn_steps(config, (1, -1), (field0.up, field0.down),
+                                config.n_steps):
         rho, sig = frame(*comps)
         j = np.zeros(config.cells + 1)
         for a0, a1 in zip(prev, comps):
@@ -255,7 +256,7 @@ class TestStepper:
         else:
             cfg = bohm.beam_splitter_config()
             psi = bohm.prepare_beam_splitter(cfg, "plus").up
-        potential = bohm._component_potentials(cfg, field_on)[component]
+        potential = bohm._potential(cfg, (1, -1)[component] if field_on else 0)
         step = bohm._stepper(cfg, potential)
         reference = banded_reference_step(cfg, potential)
         a = b = psi
@@ -286,7 +287,8 @@ class TestStepper:
 
     def test_one_factorization_per_distinct_potential(self, monkeypatch):
         """The analyzer factors +b1 x, -b1 x and the field-off potential; the
-        beam splitter (b1 = 0) sees one potential throughout."""
+        beam splitter (b1 = 0) sees one potential throughout, and a spin-up
+        analyzer run never factors the dead down component's -b1 x."""
         zgttrf, calls = bohm.zgttrf, []
 
         def counting(*args, **kwargs):
@@ -298,16 +300,18 @@ class TestStepper:
         assert len(calls) == 1
         bohm.simulate(bohm.SternGerlachConfig(), np.pi / 2)
         assert len(calls) == 4
+        bohm.simulate(bohm.SternGerlachConfig(), 0.0)
+        assert len(calls) == 6
 
 
 def local_spin(field):
     """The local spin the record's paths and ensembles read off a field."""
-    return bohm._local_spin(*bohm._densities(field.up, field.down))
+    return bohm._local_spin(*bohm._densities((1, -1), (field.up, field.down)))
 
 
 def cell_current(field, cfg):
     """The stepper's edge current averaged onto the cell centers."""
-    j = bohm._edge_current(field.up, field.down, cfg.dx)
+    j = bohm._edge_current((field.up, field.down), cfg.dx)
     return 0.5 * (j[:-1] + j[1:])
 
 

@@ -264,6 +264,7 @@ class TestBohmSg:
     ["bohm-bs", "--seed", "-1"],
     ["bohm-sg", "--n", "0"],
     ["bohm-bs", "--n", "0"],
+    ["bohm-bs", "--paths", "-3"],  # negative without an artifact flag
 ])
 def test_bohm_outside_domain_is_usage_error(tmp_path, capsys, args):
     assert run([*args, "--out", str(tmp_path)]) == 2
@@ -343,6 +344,21 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bad.cfg:2" in err
         assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    @pytest.mark.parametrize("text,lines", [
+        ("theta = 0\nn = abc\nn = 20\nt_final = 0.5\n", ("2", "3")),
+        ("theta = 0\nt-final = 0.5\nt_final = 1.5\n", ("2", "3")),
+    ], ids=["malformed_then_valid", "dash_and_underscore"])
+    def test_repeated_key_rejected(self, tmp_path, capsys, text, lines):
+        """A key given twice (after '-' becomes '_') is a usage error naming
+        both lines, so no line hides another."""
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text(text)
+        assert run(["bohm-sg", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"dup.cfg:{lines[1]}" in err and f"line {lines[0]}" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["dup.cfg"]
 
     def test_unread_pbr_check_option_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

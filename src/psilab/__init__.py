@@ -8,7 +8,9 @@ Modules (import each one by name; `import psilab` loads none of them):
                  lp_feasibility judges each LP in numpy), contextual escapes
     bohm      -- 1-D spinor wave-packet simulator with quantile-map trajectories
     svgplot   -- dependency-free SVG line plots
-    cli       -- scenario runner (console script: psilab)
+    cli       -- scenario runner (console script: psilab); only bohm-sg,
+                 bohm-bs and selftest import bohm (and scipy.linalg), and
+                 only the first two svgplot
 """
 
 __version__ = "0.1.0"

@@ -11,14 +11,17 @@ overrides it.  `main` heads every JSON payload with the scenario and
 written.  Artifacts are byte-identical for identical config + seed.
 
 Exit codes: 0 success, 1 scientific-check failure, 2 usage error (including
-input outside a documented domain: NogoError, OntologyError, DomainError,
-bohm.ConfigError, and a pbr-check option off its default in a scene that does
-not read it) and an OSError on a config file or an output path.  Artifacts
-are staged in one private directory (``.psilab-*``, made in the nearest
-existing ancestor of the output directory) and renamed into place only when
-the subcommand returns (exit 0 or 1).  The output directory is created then,
-so a usage error or any other exception leaves neither a file nor a
-directory behind.
+input outside a documented domain: NogoError, OntologyError, DomainError, a
+bohm-sg grid or field that bohm.SternGerlachConfig rejects with ConfigError,
+and a pbr-check option off its default in a scene that does not read it) and
+an OSError on a config file or an output path.  Artifacts are staged in one
+private directory (``.psilab-*``, made in the nearest existing ancestor of
+the output directory) and renamed into place only when the subcommand
+returns (exit 0 or 1).  The output directory is created then, so a usage
+error or any other exception leaves neither a file nor a directory behind.
+
+``bohm`` (and with it ``scipy.linalg``) and ``svgplot`` are imported inside
+the functions that run them, so the no-go subcommands never load them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import tempfile
 
 import numpy as np
 
-from . import bohm, nogo, ontology, qcore, svgplot
+from . import nogo, ontology, qcore
 from .simplex import LpStatus
 
 TABLE_REF = np.array(
@@ -329,6 +332,8 @@ def _run_escape_demo(ns, out, head) -> int:
 
 
 def _parser_bohm_sg() -> argparse.ArgumentParser:
+    from . import bohm
+
     p = argparse.ArgumentParser(prog="psilab bohm-sg",
                                 description="Spin-analyzer trajectory ensemble")
     _add_common(p)
@@ -351,8 +356,11 @@ def _kept_paths(ns) -> int:
     return ns.paths if (ns.csv or ns.svg) else 0
 
 
-def _write_paths(ns, out, stem, title, record: bohm.EvolutionRecord) -> None:
-    """CSV and/or SVG of the tracked trajectories, as requested."""
+def _write_paths(ns, out, stem, title, record) -> None:
+    """CSV and/or SVG of the tracked trajectories of a bohm.EvolutionRecord,
+    as requested."""
+    from . import bohm, svgplot
+
     times, xs, sigmas = record.times, record.paths_x, record.paths_sigma
     if not xs.shape[1]:
         return
@@ -366,10 +374,15 @@ def _write_paths(ns, out, stem, title, record: bohm.EvolutionRecord) -> None:
 
 
 def _run_bohm_sg(ns, out, head) -> int:
+    from . import bohm
+
     paths = _kept_paths(ns)
-    cfg = bohm.SternGerlachConfig(
-        cells=ns.cells, dt=ns.dt, t_final=ns.t_final, b1=ns.b1
-    )
+    try:
+        cfg = bohm.SternGerlachConfig(
+            cells=ns.cells, dt=ns.dt, t_final=ns.t_final, b1=ns.b1
+        )
+    except bohm.ConfigError as exc:
+        raise UsageError(str(exc)) from exc
     run = bohm.run_ensemble(cfg, ns.theta, ns.n, ns.seed, paths)
     payload = {
         **head,
@@ -385,6 +398,8 @@ def _run_bohm_sg(ns, out, head) -> int:
 
 
 def _parser_bohm_bs() -> argparse.ArgumentParser:
+    from . import bohm
+
     p = argparse.ArgumentParser(prog="psilab bohm-bs",
                                 description="Crossed-packet beam-splitter scene")
     _add_common(p)
@@ -394,6 +409,8 @@ def _parser_bohm_bs() -> argparse.ArgumentParser:
 
 
 def _run_bohm_bs(ns, out, head) -> int:
+    from . import bohm
+
     run = bohm.beam_splitter_scene(ns.prep, ns.n, ns.seed, _kept_paths(ns))
     stats = run.stats
     # Gate 3 is the + (x > 0) exit, gate 4 the - exit.
@@ -420,6 +437,8 @@ def _parser_selftest() -> argparse.ArgumentParser:
 
 
 def _selftest_checks():
+    from . import bohm
+
     def check_table():
         return _pbr_table()[1] < 1e-12
 
@@ -509,7 +528,7 @@ def main(argv=None) -> int:
         _commit(out)
         return rc
     except (UsageError, nogo.NogoError, ontology.OntologyError,
-            qcore.DomainError, bohm.ConfigError, OSError) as exc:
+            qcore.DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse's own usage failure

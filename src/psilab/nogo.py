@@ -324,7 +324,9 @@ class FeasibilityReport:
     INFEASIBLE, the l1 gap b^T y / ||y||_inf that the Farkas vector proves:
     for every x >= 0, ||A x - b||_1 >= b^T y / ||y||_inf, since A^T y <= 0.
     ``certificate_margin`` is b^T y of the checked Farkas vector, q^n on
-    PBR's scenes.
+    PBR's scenes.  PBR's closed-form vector is checked at a largest
+    normalization weight of 1 and reported unscaled, so its margin is the
+    forced mass, which may lie below LP_TOL.
     """
 
     status: LpStatus
@@ -332,21 +334,25 @@ class FeasibilityReport:
     certificate: ContradictionCertificate | NoContradiction | None
     residual: float
     iterations: int
-    farkas: np.ndarray | None  # checked dual y: A^T y <= 0, b^T y > LP_TOL
+    farkas: np.ndarray | None  # checked dual y: A^T y <= 0, b^T y > 0
     certificate_margin: float | None  # b^T y of the Farkas vector
 
 
-def _checked_farkas(problem: FeasibilityProblem, y: np.ndarray) -> np.ndarray | None:
-    """y repaired to A^T y <= 0 if ``is_farkas`` accepts it, else None.
+def _checked_farkas(problem: FeasibilityProblem, y: np.ndarray,
+                    scale: float) -> np.ndarray | None:
+    """y repaired to A^T y <= 0 if ``is_farkas`` accepts y / ``scale``, else
+    None.
 
     Every column meets exactly one normalization row, with coefficient 1,
     so taking eps = max(0, max A^T y) off the N normalization components
     gives A^T y <= 0.  A feasible x has sum(x) = N and b^T y = x^T A^T y,
-    so the repaired margin b^T y - N eps is what y proves.
+    so the repaired margin b^T y - N eps is what y proves.  A positive
+    multiple of a Farkas vector is one too, so ``scale`` only sets where the
+    fixed tolerance LP_TOL is applied.
     """
     normalization = np.arange(y.size) < len(problem.cells) ** problem.arity
     y = y - normalization * max(0.0, float(np.max(problem.a_eq.T @ y)))
-    return y if is_farkas(problem.a_eq, problem.b_eq, y) else None
+    return y if is_farkas(problem.a_eq, problem.b_eq, y / scale) else None
 
 
 def _born_witness(problem: FeasibilityProblem) -> np.ndarray | None:
@@ -381,7 +387,8 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
     Evidence is tried cheapest first, and the first that passes its numpy
     check decides:
     1. PBR's closed-form Farkas vector (the ``_forcing`` weights on the
-       normalization rows, -1 on the zero rows), through ``_checked_farkas``;
+       normalization rows, -1 on the zero rows), through ``_checked_farkas``
+       at a largest normalization weight of 1, reported unscaled;
     2. the Born witness of ``_born_witness``, checked at simplex.LP_TOL
        (it breaks normalization where supports overlap);
     3. ``phase1``: HiGHS's x, then x polished on its support, each checked
@@ -410,7 +417,11 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
         return FeasibilityReport(LpStatus.FEASIBLE, xi, None, residual, iterations,
                                  None, None)
 
-    y = _checked_farkas(problem, closed)
+    # Judged at a largest normalization weight of 1: unscaled, b^T y is the
+    # forced mass, which a thin overlap drives below LP_TOL.  All zero, the
+    # closed form forces nothing.
+    scale = float(np.max(y_norm, initial=0.0))
+    y = _checked_farkas(problem, closed, scale) if scale > 0.0 else None
     if y is not None:
         return infeasible(y, 0)
     report = witnessed(_born_witness(problem), 0)
@@ -422,7 +433,7 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
                   or witnessed(_polished(problem, res.x), res.iterations))
         if report is not None:
             return report
-    y = None if res.y is None else _checked_farkas(problem, res.y)
+    y = None if res.y is None else _checked_farkas(problem, res.y, 1.0)
     if y is not None:
         return infeasible(y, res.iterations)
     return FeasibilityReport(LpStatus.INDETERMINATE, None, None, np.nan,

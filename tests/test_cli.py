@@ -153,6 +153,38 @@ def test_pbr_check_imports_no_solver(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+def test_no_go_runs_load_no_bohmian_stack(tmp_path):
+    """pbr-table, pbr-check and escape-demo never import bohm (and with it
+    scipy.linalg) or svgplot."""
+    src = os.path.dirname(os.path.dirname(psilab.__file__))
+    code = ("import sys; from psilab import cli; "
+            "rcs = [cli.main(a + ['--out', sys.argv[1]]) for a in ("
+            "['pbr-table'], ['pbr-check', '--scene', 'n3', "
+            "'--cells-per-support', '5', '--shared', '2'], ['escape-demo'])]; "
+            "print(rcs, [m for m in ('psilab.bohm', 'psilab.svgplot', "
+            "'scipy.linalg') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], cwd=src,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+
+@pytest.mark.parametrize("option", [["--dt", "nan"], ["--cells", "10"]])
+def test_bohm_config_error_before_bohm_import_is_usage_error(tmp_path, option):
+    """A grid or field that SternGerlachConfig rejects exits 2 with one error
+    line and writes nothing, in a process that had not imported bohm."""
+    src = os.path.dirname(os.path.dirname(psilab.__file__))
+    code = ("import sys; from psilab import cli; "
+            "assert 'psilab.bohm' not in sys.modules; "
+            "sys.exit(cli.main(['bohm-sg', *sys.argv[2:], '--out', sys.argv[1]]))")
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", code, str(out), *option],
+                          cwd=src, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not any(tmp_path.iterdir())  # no output directory, no stage
+
+
 def test_library_import_loads_no_scipy():
     """`import psilab` loads no submodule, so qcore and ontology come
     without scipy, which only the LP and the stepper need."""

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from psilab import nogo, ontology as ont, qcore
 from psilab.ontology import PsiClass
@@ -311,6 +311,24 @@ def two_qubit_problem(weights, values1, values2):
     return nogo.build_feasibility_problem(space, densities, born, 4, 2)
 
 
+@st.composite
+def two_qubit_draws(draw):
+    """Arguments of ``two_qubit_problem`` on 1-5 cells: two nonempty
+    supports, weights and values in [0.01, 100]."""
+    m = draw(st.integers(1, 5))
+    cell_set = st.sets(st.integers(0, m - 1), min_size=1)
+    positive = st.floats(1e-2, 1e2)
+    s1, s2 = draw(cell_set), draw(cell_set)
+    weights = draw(st.lists(positive, min_size=m, max_size=m))
+    values = [
+        dict(zip(sorted(cells), draw(
+            st.lists(positive, min_size=len(cells), max_size=len(cells))
+        )))
+        for cells in (s1, s2)
+    ]
+    return weights, *values
+
+
 def closed_form_farkas(prob):
     """PBR's Farkas vector: the forcing weights on the normalization rows,
     -1 on the zero-constraint rows and 0 on the other reproduction rows."""
@@ -320,18 +338,6 @@ def closed_form_farkas(prob):
                               prob.n_outcomes, prob.arity)
     rows = [-1.0 if prob.born[k] < nogo.ZERO_TOL else 0.0 for k in sorted(prob.born)]
     return np.concatenate([y_norm, rows])
-
-
-def thin_overlap(shared):
-    """The 2-copy problem whose supports share ``shared`` > 0 cells of weight
-    0.01, where psi1 has 0.01 and psi2 1 against psi1's 100 on its private
-    cell of weight 2.  It is INFEASIBLE, but PBR's closed-form b^T y, the
-    forced mass (about 5e-7)^2 per shared tuple, lies below LP_TOL, so only
-    HiGHS's duals prove it."""
-    weights = [0.01] * shared + [2.0]
-    return two_qubit_problem(weights, {**dict.fromkeys(range(shared), 0.01),
-                                       shared: 100.0},
-                             dict.fromkeys(range(shared), 1.0))
 
 
 def random_problem(seed):
@@ -356,8 +362,9 @@ def assert_checked_evidence(prob, rep, tol=1e-9, pbr=True):
     scale (largest normalization weight 1).
 
     A positive multiple of a Farkas vector is one too.  Unscaled, b^T y is the
-    forced mass, which a tiny overlap drives below any fixed tolerance.  On a
-    PBR scene (``pbr``) the closed form proves every INFEASIBLE verdict; on
+    forced mass, which a tiny overlap drives below any fixed tolerance, so
+    the verdict's Farkas vector is judged at unit scale as well.  On a PBR
+    scene (``pbr``) the closed form proves every INFEASIBLE verdict; on
     other problems a closed-form proof must only be honoured.
     """
     y = closed_form_farkas(prob)
@@ -376,7 +383,8 @@ def assert_checked_evidence(prob, rep, tol=1e-9, pbr=True):
         y = rep.farkas
         assert np.max(prob.a_eq.T @ y) <= ROUND_OFF  # repaired: A^T y <= 0
         assert rep.certificate_margin == pytest.approx(prob.b_eq @ y, abs=0)
-        assert prob.b_eq @ y > tol
+        unit = np.max(y[: len(y_norm)], initial=0.0) or 1.0
+        assert prob.b_eq @ y / unit > tol
         # The l1 gap y proves: ||A x - b||_1 >= b^T y / ||y||_inf for x >= 0.
         assert rep.residual == pytest.approx(prob.b_eq @ y / np.max(np.abs(y)),
                                              rel=1e-12)
@@ -414,7 +422,7 @@ class TestCertificates:
         prob = cell_scene(n, theta)
         res = phase1(prob.a_eq, prob.b_eq)
         assert res.objective == pytest.approx(2**n + 1, abs=1e-9)
-        y = nogo._checked_farkas(prob, res.y)
+        y = nogo._checked_farkas(prob, res.y, 1.0)
         assert np.max(prob.a_eq.T @ y) <= 1e-9
         assert prob.b_eq @ y == pytest.approx(2**n + 1, abs=1e-9)
         rep = nogo.lp_feasibility(prob)
@@ -441,26 +449,19 @@ class TestCertificates:
             )
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        m=st.integers(1, 5),
-        data=st.data(),
-    )
-    def test_infeasible_iff_supports_overlap(self, m, data):
-        cell_set = st.sets(st.integers(0, m - 1), min_size=1)
-        positive = st.floats(1e-2, 1e2)
-        s1, s2 = data.draw(cell_set), data.draw(cell_set)
-        weights = data.draw(st.lists(positive, min_size=m, max_size=m))
-        values = [
-            dict(zip(sorted(cells), data.draw(
-                st.lists(positive, min_size=len(cells), max_size=len(cells))
-            )))
-            for cells in (s1, s2)
-        ]
-        prob = two_qubit_problem(weights, *values)
+    @given(draw=two_qubit_draws())
+    # A thin overlap: the shared tuples force a mass of 1e-12 < LP_TOL, while
+    # HiGHS's x misses b by only 1.0e-10.  At a largest normalization weight
+    # of 1 the closed form's margin is 4.0.
+    @example(draw=([0.01, 0.01, 2, 2], {0: 0.01, 1: 0.01, 2: 100},
+                   {0: 1, 1: 1, 3: 100}))
+    def test_infeasible_iff_supports_overlap(self, draw):
+        prob = two_qubit_problem(*draw)
+        shared = set(draw[1]) & set(draw[2])
         rep = nogo.lp_feasibility(prob)
-        want = LpStatus.INFEASIBLE if s1 & s2 else LpStatus.FEASIBLE
+        want = LpStatus.INFEASIBLE if shared else LpStatus.FEASIBLE
         assert rep.status is want
-        assert (assert_checked_evidence(prob, rep) > 1e-9) == bool(s1 & s2)
+        assert (assert_checked_evidence(prob, rep) > 1e-9) == bool(shared)
 
     def test_duals_failing_the_check_are_repaired(self):
         """Found by the property above: HiGHS's duals have max A^T y = 1.8e-9
@@ -473,7 +474,7 @@ class TestCertificates:
                                  {0: 5, 1: 1, 2: 1, 3: 1, 4: 1}, {0: 6, 1: 1})
         duals = phase1(prob.a_eq, prob.b_eq).y
         assert not is_farkas(prob.a_eq, prob.b_eq, duals)
-        y = nogo._checked_farkas(prob, duals)
+        y = nogo._checked_farkas(prob, duals, 1.0)
         assert y is not None
         assert not np.array_equal(y, closed_form_farkas(prob))
         assert np.max(prob.a_eq.T @ y) <= ROUND_OFF
@@ -532,8 +533,9 @@ class TestCertificates:
     ):
         """Solver output that fails its check is never the evidence.  The
         problems are ones that no closed form decides, so HiGHS answers: with
-        ``shared`` cells shared, ``thin_overlap(shared)`` (INFEASIBLE); with
-        none, ``random_problem(8)`` (FEASIBLE on overlapping supports, since
+        ``shared`` (2), ``random_problem(42)`` (INFEASIBLE, and no Born value
+        vanishes, so PBR's closed form forces nothing); with none (0),
+        ``random_problem(8)`` (FEASIBLE on overlapping supports, since
         disjoint ones get the Born witness).  Corrupted duals: the verdict
         rests on the repaired duals when they pass the check (shifted up by
         1e-6: the repair takes the shift off A^T y), else it is INDETERMINATE
@@ -550,7 +552,7 @@ class TestCertificates:
             return res
 
         monkeypatch.setattr(scipy.optimize, "linprog", bad_linprog)
-        prob = thin_overlap(shared) if shared else random_problem(8)
+        prob = random_problem(42 if shared else 8)
         rep = nogo.lp_feasibility(prob)
         if shared:
             assert rep.witness is None
@@ -563,7 +565,7 @@ class TestCertificates:
                 assert np.array_equal(rep.farkas, repaired)
                 assert not np.array_equal(rep.farkas, y)
                 assert np.max(prob.a_eq.T @ rep.farkas) <= ROUND_OFF
-                assert_checked_evidence(prob, rep)
+                assert_checked_evidence(prob, rep, pbr=False)
             else:
                 assert rep.status is LpStatus.INDETERMINATE
                 assert rep.farkas is None
@@ -635,7 +637,7 @@ class TestClassScene:
         if np.max(np.abs(prob.a_eq @ res.x - prob.b_eq)) <= LP_TOL:
             assert rep.status is LpStatus.FEASIBLE
         else:
-            assert nogo._checked_farkas(prob, res.y) is not None
+            assert nogo._checked_farkas(prob, res.y, 1.0) is not None
             assert rep.status is LpStatus.INFEASIBLE
             assert rep.certificate_margin == pytest.approx(
                 (shared / cells_per_support) ** n, rel=1e-12)

@@ -35,10 +35,9 @@ front are carried through every frame inside the stepping loop: each frame's
 rho and |up|^2 - |down|^2 are copied into a block of PATH_BLOCK frames, and
 each full block is mapped at once (one cumulative sum for the CDFs, one
 local-spin pass), which records the points' positions and local spin as
-(frames, points) arrays; with no point tracked only rho is built.
-``integrate_ensemble`` carries any other points from the first frame to the
-last.  The CSV and SVG writers stream those arrays to an open file one path
-at a time.
+(frames, points) arrays; ``integrate_ensemble`` carries any other points
+from the first frame to the last.  The CSV and SVG writers stream those
+arrays to an open file one path at a time.
 
 Both scenes, the spin analyzer (``run_ensemble``) and the beam splitter
 (``beam_splitter_scene``), run the same pipeline (sample, simulate with the
@@ -402,16 +401,14 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
 
     def frame(k, comps):
         """Record frame k's norm and tracked points; return its density."""
-        if not block:  # nothing tracked, so the spin is never read
-            rho = sum(np.abs(c) ** 2 for c in comps)
-        else:
-            spin, rho = _densities(signs, comps)
+        spin, rho = _densities(signs, comps)
+        norms[k] = np.sum(rho) * dx
+        if block:
             i = k % block
             spin_blk[i], rho_blk[i] = spin, rho
             if i == block - 1 or k == n_steps:
                 paths_x[k - i:k + 1], paths_sigma[k - i:k + 1] = _quantile_map(
                     grid, edges, dx, q, spin_blk[:i + 1], rho_blk[:i + 1])
-        norms[k] = np.sum(rho) * dx
         return rho
 
     rho0 = frame(0, comps0)

@@ -419,9 +419,8 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
 
     # Judged at a largest normalization weight of 1: unscaled, b^T y is the
     # forced mass, which a thin overlap drives below LP_TOL.  All zero, the
-    # closed form forces nothing.
-    scale = float(np.max(y_norm, initial=0.0))
-    y = _checked_farkas(problem, closed, scale) if scale > 0.0 else None
+    # closed form forces nothing, and b^T y <= 0 fails at any scale.
+    y = _checked_farkas(problem, closed, float(np.max(y_norm, initial=0.0)) or 1.0)
     if y is not None:
         return infeasible(y, 0)
     report = witnessed(_born_witness(problem), 0)

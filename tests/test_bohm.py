@@ -216,22 +216,6 @@ class TestStepper:
         if dead != "none":
             assert not getattr(rec.final, dead).any()
 
-    @pytest.mark.parametrize("dead", ["down", "up", "none"])
-    def test_untracked_run_matches_tracked_run(self, dead):
-        """Without tracked points a frame builds rho alone, no spin; its
-        norms, continuity residuals and final field equal those of a run
-        that tracks points, bit for bit."""
-        cfg = bohm.SternGerlachConfig(t_final=0.3)
-        field0 = field_with_dead(cfg, dead)
-        bare = bohm.simulate(cfg, field0=field0)
-        rec = bohm.simulate(cfg, field0=field0,
-                            points=bohm.sample_initial(field0, 8, seed=4))
-        for name in ("norms", "continuity"):
-            assert getattr(bare, name).tobytes() == getattr(rec, name).tobytes()
-        for name in ("up", "down"):
-            assert getattr(bare.final, name).tobytes() == \
-                getattr(rec.final, name).tobytes()
-
     @pytest.mark.parametrize("dead", ["down", "none"])
     @pytest.mark.parametrize("frames", [bohm.PATH_BLOCK - 1, bohm.PATH_BLOCK,
                                         bohm.PATH_BLOCK + 1,

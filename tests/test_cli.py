@@ -169,22 +169,6 @@ def test_no_go_runs_load_no_bohmian_stack(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
-@pytest.mark.parametrize("option", [["--dt", "nan"], ["--cells", "10"]])
-def test_bohm_config_error_before_bohm_import_is_usage_error(tmp_path, option):
-    """A grid or field that SternGerlachConfig rejects exits 2 with one error
-    line and writes nothing, in a process that had not imported bohm."""
-    src = os.path.dirname(os.path.dirname(psilab.__file__))
-    code = ("import sys; from psilab import cli; "
-            "assert 'psilab.bohm' not in sys.modules; "
-            "sys.exit(cli.main(['bohm-sg', *sys.argv[2:], '--out', sys.argv[1]]))")
-    out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-c", code, str(out), *option],
-                          cwd=src, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert not any(tmp_path.iterdir())  # no output directory, no stage
-
-
 def test_library_import_loads_no_scipy():
     """`import psilab` loads no submodule, so qcore and ontology come
     without scipy, which only the LP and the stepper need."""
@@ -291,6 +275,7 @@ class TestBohmSg:
     ["bohm-bs", "--n", "5", "--paths", "6", "--svg"],
     ["bohm-sg", "--t-final", "inf"],
     ["bohm-sg", "--dt", "nan"],
+    ["bohm-sg", "--cells", "10"],
     ["bohm-sg", "--b1", "nan"],
     ["bohm-sg", "--seed", "-1"],
     ["bohm-bs", "--seed", "-1"],

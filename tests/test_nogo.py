@@ -363,9 +363,10 @@ def assert_checked_evidence(prob, rep, tol=1e-9, pbr=True):
 
     A positive multiple of a Farkas vector is one too.  Unscaled, b^T y is the
     forced mass, which a tiny overlap drives below any fixed tolerance, so
-    the verdict's Farkas vector is judged at unit scale as well.  On a PBR
-    scene (``pbr``) the closed form proves every INFEASIBLE verdict; on
-    other problems a closed-form proof must only be honoured.
+    a verdict that rests on the closed form is judged at unit scale as well;
+    HiGHS's duals are judged as reported.  On a PBR scene (``pbr``) the
+    closed form proves every INFEASIBLE verdict; on other problems a
+    closed-form proof must only be honoured.
     """
     y = closed_form_farkas(prob)
     y_norm = y[: len(prob.cells) ** prob.arity]
@@ -383,7 +384,9 @@ def assert_checked_evidence(prob, rep, tol=1e-9, pbr=True):
         y = rep.farkas
         assert np.max(prob.a_eq.T @ y) <= ROUND_OFF  # repaired: A^T y <= 0
         assert rep.certificate_margin == pytest.approx(prob.b_eq @ y, abs=0)
-        unit = np.max(y[: len(y_norm)], initial=0.0) or 1.0
+        # The closed form at unit scale, as above; HiGHS's duals as they are.
+        closed = np.array_equal(y, closed_form_farkas(prob))
+        unit = (np.max(y_norm, initial=0.0) or 1.0) if closed else 1.0
         assert prob.b_eq @ y / unit > tol
         # The l1 gap y proves: ||A x - b||_1 >= b^T y / ||y||_inf for x >= 0.
         assert rep.residual == pytest.approx(prob.b_eq @ y / np.max(np.abs(y)),

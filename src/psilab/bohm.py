@@ -82,8 +82,9 @@ class BohmError(ValueError):
     """Base error for the wave-packet laboratory."""
 
 
-class ConfigError(BohmError):
-    """Simulation configuration violates a validity or stability rule."""
+class ConfigError(BohmError, DomainError):
+    """Simulation configuration violates a validity or stability rule: input
+    outside the documented domain, so also a DomainError."""
 
 
 @dataclass(frozen=True)

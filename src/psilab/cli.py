@@ -11,14 +11,16 @@ overrides it.  `main` heads every JSON payload with the scenario and
 written.  Artifacts are byte-identical for identical config + seed.
 
 Exit codes: 0 success, 1 scientific-check failure, 2 usage error (including
-input outside a documented domain: NogoError, OntologyError, DomainError, a
-bohm-sg grid or field that bohm.SternGerlachConfig rejects with ConfigError,
-and a pbr-check option off its default in a scene that does not read it) and
-an OSError on a config file or an output path.  Artifacts are staged in one
-private directory (``.psilab-*``, made in the nearest existing ancestor of
-the output directory) and renamed into place only when the subcommand
-returns (exit 0 or 1).  The output directory is created then, so a usage
-error or any other exception leaves neither a file nor a directory behind.
+input outside a documented domain: NogoError, OntologyError, DomainError
+(bohm.ConfigError, for a bohm-sg grid or field that bohm.SternGerlachConfig
+rejects, is one), and a pbr-check option off its default in a scene that
+does not read it) and an OSError on a config file or an output path.  A
+subcommand returns its exit code and its artifacts, each a name and a writer
+that fills the open file; only when it has returned (exit 0 or 1) does
+``_commit`` make one private stage (``.psilab-*``, in the nearest existing
+ancestor of the output directory), write every artifact there, create the
+output directory and rename them into place.  So a usage error or any other
+exception leaves neither a file, a directory nor a stage behind.
 
 ``bohm`` (and with it ``scipy.linalg``) and ``svgplot`` are imported inside
 the functions that run them, so the no-go subcommands never load them.
@@ -135,53 +137,41 @@ def _config_hash(params: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-class _Staged:
-    """The artifacts of one run, by name in staging order, written into a
-    private stage (None until the first artifact) and renamed into the output
-    directory by ``_commit``."""
-
-    def __init__(self, out_dir: str):
-        self.dir = out_dir
-        self.stage = None
-        self.names = []
+def _text(text: str):
+    """The writer of an artifact whose content is ``text``."""
+    return lambda fh: fh.write(text)
 
 
-def _write(out: _Staged, name: str, write) -> None:
-    """Stage the artifact ``name``: ``write(fh)`` fills the open text file."""
-    if out.stage is None:
-        # The nearest existing ancestor keeps every rename on one file system.
-        parent = os.path.abspath(out.dir)
-        while not os.path.exists(parent):
-            parent = os.path.dirname(parent)
-        out.stage = tempfile.mkdtemp(prefix=".psilab-", dir=parent)
-    with open(os.path.join(out.stage, name), "x", encoding="utf-8",
-              newline="\n") as fh:
-        out.names.append(name)
-        write(fh)
+def _json(payload: dict):
+    return _text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _emit_json(out: _Staged, name: str, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _write(out, name, lambda fh: fh.write(text))
-
-
-def _commit(out: _Staged) -> None:
-    """Create the output directory and rename every staged artifact into
-    place, none if a target is a directory."""
-    targets = [os.path.join(out.dir, name) for name in out.names]
-    for path in targets:
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    os.makedirs(out.dir, exist_ok=True)
-    for name, path in zip(out.names, targets):
-        os.replace(os.path.join(out.stage, name), path)
-        print(f"wrote {path}")
-
-
-def _discard(out: _Staged) -> None:
-    """Delete the stage and whatever was not committed from it."""
-    if out.stage is not None:
-        shutil.rmtree(out.stage, ignore_errors=True)
+def _commit(out_dir: str, artifacts) -> None:
+    """Write every artifact ``(name, write)`` into one private stage, where
+    ``write(fh)`` fills the open text file, then create the output directory
+    and rename them all into place, none if a target is a directory.  The
+    stage is deleted whatever happened."""
+    # The nearest existing ancestor keeps every rename on one file system.
+    parent = os.path.abspath(out_dir)
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    stage = tempfile.mkdtemp(prefix=".psilab-", dir=parent)
+    try:
+        for name, write in artifacts:
+            with open(os.path.join(stage, name), "x", encoding="utf-8",
+                      newline="\n") as fh:
+                write(fh)
+        targets = [os.path.join(out_dir, name) for name, _ in artifacts]
+        for path in targets:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        path)
+        os.makedirs(out_dir, exist_ok=True)
+        for (name, _), path in zip(artifacts, targets):
+            os.replace(os.path.join(stage, name), path)
+            print(f"wrote {path}")
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -223,7 +213,7 @@ def _pbr_table():
     return table, float(np.max(np.abs(table - TABLE_REF)))
 
 
-def _run_pbr_table(ns, out, head) -> int:
+def _run_pbr_table(ns, head):
     table, err = _pbr_table()
     payload = {
         **head,
@@ -231,10 +221,9 @@ def _run_pbr_table(ns, out, head) -> int:
         "table": [[float(v) for v in row] for row in table],
         "max_error_vs_reference": err,
     }
-    _emit_json(out, "pbr_table.json", payload)
     csv = qcore.table_to_csv(list(PRODUCT_LABELS), table)
-    _write(out, "pbr_table.csv", lambda fh: fh.write(csv))
-    return 0 if err < 1e-12 else 1
+    return 0 if err < 1e-12 else 1, [("pbr_table.json", _json(payload)),
+                                     ("pbr_table.csv", _text(csv))]
 
 
 def _parser_pbr_check() -> argparse.ArgumentParser:
@@ -250,7 +239,7 @@ def _parser_pbr_check() -> argparse.ArgumentParser:
     return p
 
 
-def _run_pbr_check(ns, out, head) -> int:
+def _run_pbr_check(ns, head):
     for dest in _PBR_CHECK_UNREAD.get(ns.scene, ()):
         if getattr(ns, dest) != _PBR_CHECK_DEFAULTS[dest]:
             raise UsageError(f"--{dest} does nothing for --scene {ns.scene}")
@@ -278,11 +267,11 @@ def _run_pbr_check(ns, out, head) -> int:
         "expected_status": expected.name,
         "iterations": report.iterations,
         "residual": report.residual,
-        "has_certificate": report.certificate is not None,
+        "has_certificate": report.farkas is not None,
         "certificate_margin": report.certificate_margin,
     }
-    _emit_json(out, "pbr_check.json", payload)
-    return 0 if report.status is expected else 1
+    return 0 if report.status is expected else 1, [("pbr_check.json",
+                                                    _json(payload))]
 
 
 def _parser_escape_demo() -> argparse.ArgumentParser:
@@ -317,18 +306,18 @@ def _verify_escape(scene: str):
     }
 
 
-def _run_escape_demo(ns, out, head) -> int:
+def _run_escape_demo(ns, head):
     scenes = tuple(nogo.ESCAPE_SCENES) if ns.scene == "both" else (ns.scene,)
-    reports = {}
+    reports, artifacts = {}, []
     ok = True
     for scene in scenes:
         model, report = _verify_escape(scene)
         reports[scene] = report
         ok = ok and report["passed"]
-        text = ontology.model_to_json(model) + "\n"
-        _write(out, f"escape_{scene}.json", lambda fh: fh.write(text))
-    _emit_json(out, "escape_demo.json", {**head, "scenes": reports})
-    return 0 if ok else 1
+        artifacts.append((f"escape_{scene}.json",
+                          _text(ontology.model_to_json(model) + "\n")))
+    artifacts.append(("escape_demo.json", _json({**head, "scenes": reports})))
+    return 0 if ok else 1, artifacts
 
 
 def _parser_bohm_sg() -> argparse.ArgumentParser:
@@ -356,33 +345,32 @@ def _kept_paths(ns) -> int:
     return ns.paths if (ns.csv or ns.svg) else 0
 
 
-def _write_paths(ns, out, stem, title, record) -> None:
-    """CSV and/or SVG of the tracked trajectories of a bohm.EvolutionRecord,
-    as requested."""
+def _write_paths(ns, stem, title, record) -> list:
+    """The CSV and/or SVG artifacts of the tracked trajectories of a
+    bohm.EvolutionRecord, as requested."""
     from . import bohm, svgplot
 
     times, xs, sigmas = record.times, record.paths_x, record.paths_sigma
     if not xs.shape[1]:
-        return
+        return []
+    artifacts = []
     if ns.csv:
-        _write(out, f"{stem}_trajectories.csv",
-               lambda fh: bohm.trajectories_to_csv(fh, times, xs, sigmas))
+        artifacts.append((f"{stem}_trajectories.csv",
+                          lambda fh: bohm.trajectories_to_csv(fh, times, xs, sigmas)))
     if ns.svg:
         series = [(times, x) for x in xs.T]
-        _write(out, f"{stem}_trajectories.svg",
-               lambda fh: svgplot.render_lines(fh, series, title))
+        artifacts.append((f"{stem}_trajectories.svg",
+                          lambda fh: svgplot.render_lines(fh, series, title)))
+    return artifacts
 
 
-def _run_bohm_sg(ns, out, head) -> int:
+def _run_bohm_sg(ns, head):
     from . import bohm
 
     paths = _kept_paths(ns)
-    try:
-        cfg = bohm.SternGerlachConfig(
-            cells=ns.cells, dt=ns.dt, t_final=ns.t_final, b1=ns.b1
-        )
-    except bohm.ConfigError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = bohm.SternGerlachConfig(
+        cells=ns.cells, dt=ns.dt, t_final=ns.t_final, b1=ns.b1
+    )
     run = bohm.run_ensemble(cfg, ns.theta, ns.n, ns.seed, paths)
     payload = {
         **head,
@@ -392,9 +380,9 @@ def _run_bohm_sg(ns, out, head) -> int:
         "norm_drift": float(np.max(np.abs(run.record.norms - 1.0))),
         "max_continuity_residual": float(np.max(run.record.continuity)),
     }
-    _emit_json(out, "bohm_sg.json", payload)
-    _write_paths(ns, out, "bohm_sg", "analyzer trajectories", run.record)
-    return 0 if run.stats.valid else 1
+    return 0 if run.stats.valid else 1, [
+        ("bohm_sg.json", _json(payload)),
+        *_write_paths(ns, "bohm_sg", "analyzer trajectories", run.record)]
 
 
 def _parser_bohm_bs() -> argparse.ArgumentParser:
@@ -408,7 +396,7 @@ def _parser_bohm_bs() -> argparse.ArgumentParser:
     return p
 
 
-def _run_bohm_bs(ns, out, head) -> int:
+def _run_bohm_bs(ns, head):
     from . import bohm
 
     run = bohm.beam_splitter_scene(ns.prep, ns.n, ns.seed, _kept_paths(ns))
@@ -424,9 +412,9 @@ def _run_bohm_bs(ns, out, head) -> int:
         "seed": ns.seed,
         "valid": stats.valid,
     }
-    _emit_json(out, "bohm_bs.json", payload)
-    _write_paths(ns, out, "bohm_bs", "beam-splitter trajectories", run.record)
-    return 0 if stats.valid else 1
+    return 0 if stats.valid else 1, [
+        ("bohm_bs.json", _json(payload)),
+        *_write_paths(ns, "bohm_bs", "beam-splitter trajectories", run.record)]
 
 
 def _parser_selftest() -> argparse.ArgumentParser:
@@ -482,7 +470,7 @@ def _selftest_checks():
     )
 
 
-def _run_selftest(ns, out, head) -> int:
+def _run_selftest(ns, head):
     results = {}
     ok = True
     for name, fn in _selftest_checks():
@@ -490,8 +478,8 @@ def _run_selftest(ns, out, head) -> int:
         results[name] = passed
         ok = ok and passed
         print(f"{'ok' if passed else 'FAIL'} - {name}")
-    _emit_json(out, "selftest.json", {**head, "checks": results, "passed": ok})
-    return 0 if ok else 1
+    return 0 if ok else 1, [("selftest.json",
+                             _json({**head, "checks": results, "passed": ok}))]
 
 
 _COMMANDS = {
@@ -517,15 +505,13 @@ def main(argv=None) -> int:
         return 2
     build, run = _COMMANDS[name]
     parser = build()
-    out = None
     try:
         ns = _apply_config(parser, parser.parse_args(tail), tail)
         params = {k: v for k, v in vars(ns).items() if k not in _UNHASHED}
         head = {"scenario": name,
                 "config_hash": _config_hash({"scenario": name, **params})}
-        out = _Staged(ns.out or os.environ.get("PSILAB_OUT") or ".")
-        rc = run(ns, out, head)
-        _commit(out)
+        rc, artifacts = run(ns, head)
+        _commit(ns.out or os.environ.get("PSILAB_OUT") or ".", artifacts)
         return rc
     except (UsageError, nogo.NogoError, ontology.OntologyError,
             qcore.DomainError, OSError) as exc:
@@ -533,9 +519,6 @@ def main(argv=None) -> int:
         return 2
     except SystemExit as exc:  # argparse's own usage failure
         return int(exc.code or 0)
-    finally:
-        if out is not None:
-            _discard(out)
 
 
 if __name__ == "__main__":

@@ -81,11 +81,6 @@ class ContradictionCertificate:
     margin: float
 
 
-@dataclass(frozen=True)
-class NoContradiction:
-    """No lambda tuple is simultaneously constrained for every outcome."""
-
-
 def _born_values(states, basis: qcore.MeasurementBasis, arity: int) -> dict:
     """Born value of each (outcome index, preparation tuple).
 
@@ -131,7 +126,8 @@ def _kron_rows(factors: np.ndarray, combos, arity: int) -> np.ndarray:
 
 
 def _forcing(densities, cells, constraints, n_outcomes: int, arity: int):
-    """PBR's forcing step as a closed-form Farkas vector: (y_norm, verdict).
+    """PBR's forcing step as a closed-form Farkas vector: (y_norm,
+    certificate), the certificate None when no tuple is forced.
 
     Over the lambda tuples t of ``cells`` in itertools.product order, w_z(t)
     is the Kronecker row of constraint z's weighted densities, each restricted
@@ -150,7 +146,7 @@ def _forcing(densities, cells, constraints, n_outcomes: int, arity: int):
     y_norm = best.min(axis=0)
     hits = np.flatnonzero(y_norm > 0.0)
     if hits.size == 0:
-        return y_norm, NoContradiction()
+        return y_norm, None
     witness = np.unravel_index(hits[0], (len(cells),) * arity)
     return y_norm, ContradictionCertificate(
         tuple(int(cells[k]) for k in witness),
@@ -162,8 +158,9 @@ def _forcing(densities, cells, constraints, n_outcomes: int, arity: int):
 def analytic_contradiction(
     model: ont.OntModel,
     constraints: list[ZeroConstraint],
-) -> ContradictionCertificate | NoContradiction:
-    """Find a lambda tuple where the zero constraints force every outcome.
+) -> ContradictionCertificate | None:
+    """Find a lambda tuple where the zero constraints force every outcome
+    (None if there is none).
 
     Preparation indices in the constraints refer to the model's preparation
     insertion order.  Requires a universal (preparation-independent) response:
@@ -331,7 +328,7 @@ class FeasibilityReport:
 
     status: LpStatus
     witness: np.ndarray | None  # response table over (outcome, active-cell tuple)
-    certificate: ContradictionCertificate | NoContradiction | None
+    certificate: ContradictionCertificate | None  # the forced tuple, if any
     residual: float
     iterations: int
     farkas: np.ndarray | None  # checked dual y: A^T y <= 0, b^T y > 0
@@ -394,8 +391,9 @@ def lp_feasibility(problem: FeasibilityProblem) -> FeasibilityReport:
     3. ``phase1``: HiGHS's x, then x polished on its support, each checked
        at LP_TOL, then HiGHS's duals through ``_checked_farkas``.
     Else INDETERMINATE.  So a scene that a closed form decides never imports
-    ``scipy.optimize``.  The closed-form forcing verdict is attached to an
-    INFEASIBLE report as a cross-check.
+    ``scipy.optimize``.  An INFEASIBLE report carries the forcing
+    certificate as a cross-check, None where HiGHS's duals proved what no
+    forced tuple shows.
     """
     y_norm, forcing = _forcing(problem.densities, problem.cells, problem.zeros,
                                problem.n_outcomes, problem.arity)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -482,6 +483,29 @@ class TestOutputPaths:
         else:
             with pytest.raises(RuntimeError):
                 run(argv)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_partway_makes_no_stage(self, tmp_path, capsys, monkeypatch):
+        """A subcommand that fails after building its first artifact makes no
+        stage: staging starts only once the subcommand has returned."""
+        escape, scenes = nogo.contextual_escape, []
+
+        def second_fails(scene):
+            scenes.append(scene)
+            if len(scenes) == 2:
+                raise nogo.NogoError("second scene failed")
+            return escape(scene)
+
+        mkdtemp, stages = tempfile.mkdtemp, []
+
+        def counted(*args, **kwargs):
+            stages.append(kwargs)
+            return mkdtemp(*args, **kwargs)
+
+        monkeypatch.setattr(nogo, "contextual_escape", second_fails)
+        monkeypatch.setattr(tempfile, "mkdtemp", counted)
+        self.assert_usage_error(capsys, ["escape-demo", "--out", str(tmp_path)])
+        assert len(scenes) == 2 and stages == []
         assert list(tmp_path.iterdir()) == []
 
     def test_stale_temp_file_does_not_block_a_run(self, tmp_path):

@@ -95,9 +95,7 @@ class TestAnalyticContradiction:
     def test_disjoint_densities_no_contradiction(self, pair, basis2):
         model = disjoint_model()
         zc = nogo.zero_constraints(pair, basis2)
-        assert isinstance(
-            nogo.analytic_contradiction(model, zc), nogo.NoContradiction
-        )
+        assert nogo.analytic_contradiction(model, zc) is None
 
     def test_single_qubit_orthogonal_certificate(self):
         states = [qcore.ket_minus(), qcore.ket_plus()]
@@ -146,7 +144,7 @@ def reference_forcing(densities, cells, constraints, n_outcomes, arity):
     y_norm = best.min(axis=0)
     hits = np.flatnonzero(y_norm > 0.0)
     if hits.size == 0:
-        return y_norm, nogo.NoContradiction()
+        return y_norm, None
     witness = np.unravel_index(hits[0], (len(cells),) * arity)
     return y_norm, nogo.ContradictionCertificate(
         tuple(int(cells[k]) for k in witness),
@@ -524,6 +522,20 @@ class TestCertificates:
         rep = nogo.lp_feasibility(prob)
         assert rep.status in (LpStatus.FEASIBLE, LpStatus.INFEASIBLE)
         assert_checked_evidence(prob, rep, pbr=False)
+
+    def test_dual_verdicts_carry_no_forcing_certificate(self):
+        """Of the 60 random problems, the 24 INFEASIBLE ones are proved by
+        HiGHS's duals alone: no tuple is forced, so the report carries no
+        forcing certificate, and its Farkas vector passes ``is_farkas``."""
+        infeasible = 0
+        for seed in range(60):
+            prob = random_problem(seed)
+            rep = nogo.lp_feasibility(prob)
+            if rep.status is LpStatus.INFEASIBLE:
+                infeasible += 1
+                assert rep.certificate is None
+                assert is_farkas(prob.a_eq, prob.b_eq, rep.farkas)
+        assert infeasible == 24
 
     @pytest.mark.parametrize("shared, corrupt", [
         (2, lambda res: setattr(res.eqlin, "marginals", -res.eqlin.marginals)),

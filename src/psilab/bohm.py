@@ -379,9 +379,14 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
     Each frame is reduced to its norm and continuity residual and dropped.
     The tracked ``points`` (each in [x_min, x_max], else DomainError before
     the first step) are carried through every frame by the quantile map.
+    A ``field0`` whose x is not ``config.x`` is a DomainError, also before
+    the first step.
     """
     if field0 is None:
         field0 = prepare(config, theta)
+    if not np.array_equal(field0.x, config.x):
+        raise DomainError("field0 is not on the configured grid: its x differs "
+                          "from config.x")
     _, q = _start_quantiles(config, field0, points)
     # The live components, decided once: one zero at the start stays so (a
     # zero RHS solves to zero), so it is neither stepped nor reduced.

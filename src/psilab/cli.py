@@ -1,26 +1,32 @@
 """Scenario runner: every experiment as a subcommand with file outputs.
 
-Subcommands: pbr-table, pbr-check, escape-demo, bohm-sg, bohm-bs, selftest.
-Parameters come from the command line and/or a flat key=value config file
-(`#` comments allowed).  Each file value is checked and becomes its option's
-default, so the command line wins (abbreviated flags included), and a
-malformed value or a key given twice fails even where the command line
-overrides it.  `main` heads every JSON payload with the scenario and
-`config_hash`: the sha256 of the scenario and every option except `config`,
+Subcommands: pbr-table, pbr-check, escape-demo, bohm-sg, bohm-bs, selftest,
+each one row of ``_COMMANDS``: its description, the adder of its own options
+(or None) and its runner.  ``_parser(name)`` builds every parser alike:
+``--config``, ``--out``, then the subcommand's options.  Parameters come from
+the command line and/or a flat key=value config file (`#` comments allowed).
+Each file value is checked and becomes its option's default, so the command
+line wins (abbreviated flags included), and a malformed value or a key given
+twice fails even where the command line overrides it.
+
+A runner takes the parsed options alone and returns its exit code, its JSON
+payload and any other artifacts, each a name and a writer that fills the
+open file.  ``main`` alone heads the payload with the scenario and
+`config_hash` (the sha256 of the scenario and every option except `config`,
 `out`, `paths`, `csv` and `svg`, which choose where or whether artifacts are
-written.  Artifacts are byte-identical for identical config + seed.
+written) and writes it first, as ``<subcommand>.json`` with ``-`` spelled
+``_``.  Artifacts are byte-identical for identical config + seed.
 
 Exit codes: 0 success, 1 scientific-check failure, 2 usage error (including
 input outside a documented domain: NogoError, OntologyError, DomainError
 (bohm.ConfigError, for a bohm-sg grid or field that bohm.SternGerlachConfig
 rejects, is one), and a pbr-check option off its default in a scene that
-does not read it) and an OSError on a config file or an output path.  A
-subcommand returns its exit code and its artifacts, each a name and a writer
-that fills the open file; only when it has returned (exit 0 or 1) does
-``_commit`` make one private stage (``.psilab-*``, in the nearest existing
-ancestor of the output directory), write every artifact there, create the
-output directory and rename them into place.  So a usage error or any other
-exception leaves neither a file, a directory nor a stage behind.
+does not read it) and an OSError on a config file or an output path.  Only
+when the runner has returned (exit 0 or 1) does ``_commit`` make one private
+stage (``.psilab-*``, in the nearest existing ancestor of the output
+directory), write every artifact there, create the output directory and
+rename them into place.  So a usage error or any other exception leaves
+neither a file, a directory nor a stage behind.
 
 ``bohm`` (and with it ``scipy.linalg``) and ``svgplot`` are imported inside
 the functions that run them, so the no-go subcommands never load them.
@@ -142,10 +148,6 @@ def _text(text: str):
     return lambda fh: fh.write(text)
 
 
-def _json(payload: dict):
-    return _text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _commit(out_dir: str, artifacts) -> None:
     """Write every artifact ``(name, write)`` into one private stage, where
     ``write(fh)`` fills the open text file, then create the output directory
@@ -174,12 +176,6 @@ def _commit(out_dir: str, artifacts) -> None:
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--out", default=None,
-                        help="output directory (default: $PSILAB_OUT or .)")
-
-
 def _add_ensemble(parser: argparse.ArgumentParser, n: int) -> None:
     """Options shared by the two trajectory-ensemble subcommands."""
     parser.add_argument("--n", type=int, default=n)
@@ -197,13 +193,6 @@ def _add_ensemble(parser: argparse.ArgumentParser, n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _parser_pbr_table() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="psilab pbr-table",
-                                description="Product-state coefficient table")
-    _add_common(p)
-    return p
-
-
 def _pbr_table():
     """Coefficient table of the four products of |0>, |+> against the fixed
     2-qubit basis, and its largest deviation from TABLE_REF."""
@@ -213,33 +202,27 @@ def _pbr_table():
     return table, float(np.max(np.abs(table - TABLE_REF)))
 
 
-def _run_pbr_table(ns, head):
+def _run_pbr_table(ns):
     table, err = _pbr_table()
     payload = {
-        **head,
         "labels": list(PRODUCT_LABELS),
         "table": [[float(v) for v in row] for row in table],
         "max_error_vs_reference": err,
     }
     csv = qcore.table_to_csv(list(PRODUCT_LABELS), table)
-    return 0 if err < 1e-12 else 1, [("pbr_table.json", _json(payload)),
-                                     ("pbr_table.csv", _text(csv))]
+    return 0 if err < 1e-12 else 1, payload, [("pbr_table.csv", _text(csv))]
 
 
-def _parser_pbr_check() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="psilab pbr-check",
-                                description="No-go feasibility check for a scene")
-    _add_common(p)
+def _add_pbr_check(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scene", choices=("overlap", "disjoint", "n3"),
                    default="overlap")
     p.add_argument("--cells-per-support", type=int, default=4)
     p.add_argument("--shared", type=int, default=_PBR_CHECK_DEFAULTS["shared"])
     p.add_argument("--theta", type=float, default=_PBR_CHECK_DEFAULTS["theta"],
                    help="pair angle for the n3 scene")
-    return p
 
 
-def _run_pbr_check(ns, head):
+def _run_pbr_check(ns):
     for dest in _PBR_CHECK_UNREAD.get(ns.scene, ()):
         if getattr(ns, dest) != _PBR_CHECK_DEFAULTS[dest]:
             raise UsageError(f"--{dest} does nothing for --scene {ns.scene}")
@@ -258,7 +241,6 @@ def _run_pbr_check(ns, head):
                 else LpStatus.FEASIBLE)
     report = nogo.lp_feasibility(problem)
     payload = {
-        **head,
         "scene": ns.scene,
         "n_zero_constraints": len(problem.zeros),
         "max_zero_born_value": max((z.born_value for z in problem.zeros),
@@ -270,18 +252,13 @@ def _run_pbr_check(ns, head):
         "has_certificate": report.farkas is not None,
         "certificate_margin": report.certificate_margin,
     }
-    return 0 if report.status is expected else 1, [("pbr_check.json",
-                                                    _json(payload))]
+    return 0 if report.status is expected else 1, payload, []
 
 
-def _parser_escape_demo() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="psilab escape-demo",
-                                description="Build and verify contextual escapes")
-    _add_common(p)
+def _add_escape_demo(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scene",
                    choices=(*nogo.ESCAPE_SCENES, "both"),
                    default="both")
-    return p
 
 
 def _verify_escape(scene: str):
@@ -306,7 +283,7 @@ def _verify_escape(scene: str):
     }
 
 
-def _run_escape_demo(ns, head):
+def _run_escape_demo(ns):
     scenes = tuple(nogo.ESCAPE_SCENES) if ns.scene == "both" else (ns.scene,)
     reports, artifacts = {}, []
     ok = True
@@ -316,23 +293,18 @@ def _run_escape_demo(ns, head):
         ok = ok and report["passed"]
         artifacts.append((f"escape_{scene}.json",
                           _text(ontology.model_to_json(model) + "\n")))
-    artifacts.append(("escape_demo.json", _json({**head, "scenes": reports})))
-    return 0 if ok else 1, artifacts
+    return 0 if ok else 1, {"scenes": reports}, artifacts
 
 
-def _parser_bohm_sg() -> argparse.ArgumentParser:
+def _add_bohm_sg(p: argparse.ArgumentParser) -> None:
     from . import bohm
 
-    p = argparse.ArgumentParser(prog="psilab bohm-sg",
-                                description="Spin-analyzer trajectory ensemble")
-    _add_common(p)
     _add_ensemble(p, n=1000)
     p.add_argument("--theta", type=float, default=np.pi / 2)
     p.add_argument("--cells", type=int, default=bohm.SternGerlachConfig.cells)
     p.add_argument("--dt", type=float, default=bohm.SternGerlachConfig.dt)
     p.add_argument("--t-final", type=float, default=bohm.SternGerlachConfig.t_final)
     p.add_argument("--b1", type=float, default=bohm.SternGerlachConfig.b1)
-    return p
 
 
 def _kept_paths(ns) -> int:
@@ -364,7 +336,7 @@ def _write_paths(ns, stem, title, record) -> list:
     return artifacts
 
 
-def _run_bohm_sg(ns, head):
+def _run_bohm_sg(ns):
     from . import bohm
 
     paths = _kept_paths(ns)
@@ -373,37 +345,30 @@ def _run_bohm_sg(ns, head):
     )
     run = bohm.run_ensemble(cfg, ns.theta, ns.n, ns.seed, paths)
     payload = {
-        **head,
         "theta": ns.theta,
         "born_p_plus": float(np.cos(ns.theta / 2.0) ** 2),
         "stats": run.stats.to_dict(),
         "norm_drift": float(np.max(np.abs(run.record.norms - 1.0))),
         "max_continuity_residual": float(np.max(run.record.continuity)),
     }
-    return 0 if run.stats.valid else 1, [
-        ("bohm_sg.json", _json(payload)),
-        *_write_paths(ns, "bohm_sg", "analyzer trajectories", run.record)]
+    return 0 if run.stats.valid else 1, payload, _write_paths(
+        ns, "bohm_sg", "analyzer trajectories", run.record)
 
 
-def _parser_bohm_bs() -> argparse.ArgumentParser:
+def _add_bohm_bs(p: argparse.ArgumentParser) -> None:
     from . import bohm
 
-    p = argparse.ArgumentParser(prog="psilab bohm-bs",
-                                description="Crossed-packet beam-splitter scene")
-    _add_common(p)
     _add_ensemble(p, n=400)
     p.add_argument("--prep", choices=bohm.BS_PREPS, default="plus")
-    return p
 
 
-def _run_bohm_bs(ns, head):
+def _run_bohm_bs(ns):
     from . import bohm
 
     run = bohm.beam_splitter_scene(ns.prep, ns.n, ns.seed, _kept_paths(ns))
     stats = run.stats
     # Gate 3 is the + (x > 0) exit, gate 4 the - exit.
     payload = {
-        **head,
         "prep": ns.prep,
         "counts": {"gate3": stats.n_plus, "gate4": stats.n_minus,
                    "unresolved": stats.n_unresolved},
@@ -412,16 +377,8 @@ def _run_bohm_bs(ns, head):
         "seed": ns.seed,
         "valid": stats.valid,
     }
-    return 0 if stats.valid else 1, [
-        ("bohm_bs.json", _json(payload)),
-        *_write_paths(ns, "bohm_bs", "beam-splitter trajectories", run.record)]
-
-
-def _parser_selftest() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="psilab selftest",
-                                description="Condensed invariant suite")
-    _add_common(p)
-    return p
+    return 0 if stats.valid else 1, payload, _write_paths(
+        ns, "bohm_bs", "beam-splitter trajectories", run.record)
 
 
 def _selftest_checks():
@@ -470,7 +427,7 @@ def _selftest_checks():
     )
 
 
-def _run_selftest(ns, head):
+def _run_selftest(ns):
     results = {}
     ok = True
     for name, fn in _selftest_checks():
@@ -478,18 +435,32 @@ def _run_selftest(ns, head):
         results[name] = passed
         ok = ok and passed
         print(f"{'ok' if passed else 'FAIL'} - {name}")
-    return 0 if ok else 1, [("selftest.json",
-                             _json({**head, "checks": results, "passed": ok}))]
+    return 0 if ok else 1, {"checks": results, "passed": ok}, []
 
 
+# Per subcommand: description, adder of its own options (or None), runner.
 _COMMANDS = {
-    "pbr-table": (_parser_pbr_table, _run_pbr_table),
-    "pbr-check": (_parser_pbr_check, _run_pbr_check),
-    "escape-demo": (_parser_escape_demo, _run_escape_demo),
-    "bohm-sg": (_parser_bohm_sg, _run_bohm_sg),
-    "bohm-bs": (_parser_bohm_bs, _run_bohm_bs),
-    "selftest": (_parser_selftest, _run_selftest),
+    "pbr-table": ("Product-state coefficient table", None, _run_pbr_table),
+    "pbr-check": ("No-go feasibility check for a scene", _add_pbr_check,
+                  _run_pbr_check),
+    "escape-demo": ("Build and verify contextual escapes", _add_escape_demo,
+                    _run_escape_demo),
+    "bohm-sg": ("Spin-analyzer trajectory ensemble", _add_bohm_sg, _run_bohm_sg),
+    "bohm-bs": ("Crossed-packet beam-splitter scene", _add_bohm_bs, _run_bohm_bs),
+    "selftest": ("Condensed invariant suite", None, _run_selftest),
 }
+
+
+def _parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name``: --config, --out, then its own options."""
+    description, add_options, _ = _COMMANDS[name]
+    p = argparse.ArgumentParser(prog=f"psilab {name}", description=description)
+    p.add_argument("--config", default=None, help="key=value config file")
+    p.add_argument("--out", default=None,
+                   help="output directory (default: $PSILAB_OUT or .)")
+    if add_options is not None:
+        add_options(p)
+    return p
 
 
 def main(argv=None) -> int:
@@ -503,15 +474,16 @@ def main(argv=None) -> int:
         print(f"error: unknown subcommand {name!r}; choose from "
               f"{', '.join(sorted(_COMMANDS))}", file=sys.stderr)
         return 2
-    build, run = _COMMANDS[name]
-    parser = build()
+    parser = _parser(name)
     try:
         ns = _apply_config(parser, parser.parse_args(tail), tail)
         params = {k: v for k, v in vars(ns).items() if k not in _UNHASHED}
         head = {"scenario": name,
                 "config_hash": _config_hash({"scenario": name, **params})}
-        rc, artifacts = run(ns, head)
-        _commit(ns.out or os.environ.get("PSILAB_OUT") or ".", artifacts)
+        rc, payload, artifacts = _COMMANDS[name][2](ns)
+        summary = json.dumps({**head, **payload}, sort_keys=True, indent=2) + "\n"
+        _commit(ns.out or os.environ.get("PSILAB_OUT") or ".",
+                [(f"{name.replace('-', '_')}.json", _text(summary)), *artifacts])
         return rc
     except (UsageError, nogo.NogoError, ontology.OntologyError,
             qcore.DomainError, OSError) as exc:

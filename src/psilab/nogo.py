@@ -125,6 +125,16 @@ def _kron_rows(factors: np.ndarray, combos, arity: int) -> np.ndarray:
     return rows
 
 
+def _check_keys(keys, n_outcomes: int, n_preps: int, arity: int) -> None:
+    """NogoError for an (outcome index, preparation tuple) key whose tuple
+    length is not ``arity`` or whose indices do not fit."""
+    for i, preps in keys:
+        if (len(preps) != arity or not 0 <= i < n_outcomes
+                or not all(0 <= j < n_preps for j in preps)):
+            raise NogoError(f"key {(i, preps)!r} does not fit arity {arity}, "
+                            f"{n_outcomes} outcomes and {n_preps} preparations")
+
+
 def _forcing(densities, cells, constraints, n_outcomes: int, arity: int):
     """PBR's forcing step as a closed-form Farkas vector: (y_norm,
     certificate), the certificate None when no tuple is forced.
@@ -175,12 +185,8 @@ def analytic_contradiction(
             "apply to the same response entry"
         )
     arity, n_out = model.product_arity, len(model.response.outcomes)
-    n_preps = len(model.preparations)
-    for z in constraints:
-        if (len(z.preps) != arity or not 0 <= z.outcome_index < n_out
-                or not all(0 <= j < n_preps for j in z.preps)):
-            raise NogoError(f"constraint {z} does not fit arity {arity}, "
-                            f"{n_out} outcomes and {n_preps} preparations")
+    _check_keys(((z.outcome_index, z.preps) for z in constraints), n_out,
+                len(model.preparations), arity)
     densities, cells = list(model.preparations.values()), np.arange(model.space.size)
     return _forcing(densities, cells, constraints, n_out, arity)[1]
 
@@ -219,7 +225,12 @@ def build_feasibility_problem(
     n_outcomes: int,
     arity: int,
 ) -> FeasibilityProblem:
-    """Assemble the equality system for a universal-response existence check."""
+    """Assemble the equality system for a universal-response existence check.
+
+    NogoError for a Born key whose outcome index, preparation indices or
+    tuple length do not fit ``n_outcomes``, ``densities`` and ``arity``.
+    """
+    _check_keys(born, n_outcomes, len(densities), arity)
     values = np.array([d.values for d in densities])
     cells = np.flatnonzero(ont.support_mask(values).any(axis=0))
     n_tuples = len(cells) ** arity

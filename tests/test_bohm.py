@@ -544,6 +544,22 @@ def test_initial_points_outside_the_grid_rejected(record_half, monkeypatch,
         bohm.simulate(record_half.config, np.pi / 2, points=x0)
 
 
+@pytest.mark.parametrize("grid", [
+    {"x_min": -30.0, "x_max": 40.0},  # same dx and cells, shifted
+    {"x_min": -20.0, "x_max": 20.0},  # same cells, other extent
+    {"cells": 1024},                  # other cell count
+], ids=["shifted", "other_extent", "other_cells"])
+def test_field_off_the_configured_grid_rejected(default_config, monkeypatch,
+                                                grid):
+    def no_step(*args):
+        raise AssertionError("stepped before the field's grid was checked")
+
+    monkeypatch.setattr(bohm, "_cn_steps", no_step)
+    field0 = bohm.prepare(bohm.SternGerlachConfig(**grid), 0.0)
+    with pytest.raises(DomainError, match="grid"):
+        bohm.simulate(default_config, field0=field0)
+
+
 @pytest.mark.parametrize("scene", ["analyzer", "beam_splitter"])
 @pytest.mark.parametrize("paths", [-1, 6], ids=["negative", "above_n"])
 def test_paths_outside_zero_to_n_rejected(default_config, monkeypatch, scene,

@@ -550,6 +550,13 @@ class TestUsage:
         assert run(["--help"]) == 0
         assert "subcommands" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+    def test_subcommand_help(self, capsys, name):
+        assert run([name, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: psilab {name}")
+        assert "--config" in out and "--out" in out
+
     def test_bad_flag_value(self, tmp_path):
         assert run(["pbr-check", "--scene", "nonsense"]) == 2
 

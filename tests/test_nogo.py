@@ -233,6 +233,19 @@ class TestLpFeasibility:
         assert rep.status is LpStatus.FEASIBLE
         assert np.max(np.abs(np.sum(rep.witness, axis=0) - 1.0)) < 1e-9
 
+    @pytest.mark.parametrize("born", [
+        {(0, (0, 2)): 0.5},   # preparation 2 of two densities
+        {(7, (0, 1)): 0.5},   # outcome 7 of two
+        {(-1, (0, 1)): 0.5},  # outcome -1
+        {(0, (0,)): 0.5},     # one preparation for arity 2
+    ])
+    def test_born_key_that_does_not_fit_raises(self, born):
+        space = ont.LambdaSpace(weights=np.ones(3))
+        dens = [ont.uniform_density(space, "a", [0, 1]),
+                ont.uniform_density(space, "b", [1, 2])]
+        with pytest.raises(nogo.NogoError, match="does not fit"):
+            nogo.build_feasibility_problem(space, dens, born, 2, 2)
+
 
 def dense_reference(prob):
     """The equality matrix built by the original per-tuple Python loops."""

@@ -6,9 +6,10 @@ Line count: newlines in every `psilab/*.py` file, as `wc -l src/psilab/*.py`
 totals them.  Settable values: the parameters with a default in the
 signature of every function and class that a psilab module defines itself
 (dataclass fields included, through the class signature), plus the
-command-line options of the subcommand parsers `cli._parser_*` (`--help`
-not counted).  Enum classes are skipped: their signature is Enum's functional
-API (`names`, `module`, ...), which no caller sets.
+command-line options of each subcommand's parser, `cli._parser(name)` for
+every name in `cli._COMMANDS` (`--help` not counted).  Enum classes are
+skipped: their signature is Enum's functional API (`names`, `module`, ...),
+which no caller sets.
 """
 
 import enum
@@ -49,13 +50,8 @@ def defaulted_parameters() -> int:
 
 
 def cli_options() -> int:
-    count = 0
-    for name in vars(cli):
-        if name.startswith("_parser_"):
-            parser = getattr(cli, name)()
-            count += sum(1 for a in parser._actions
-                         if a.option_strings and a.dest != "help")
-    return count
+    return sum(1 for name in cli._COMMANDS for a in cli._parser(name)._actions
+               if a.option_strings and a.dest != "help")
 
 
 if __name__ == "__main__":

@@ -17,16 +17,22 @@ hard-wall boundaries (norm-preserving by construction); the tridiagonal
 matrix of each potential is LU-factored once (LAPACK zgttrf) and every step
 is one solve on those factors (zgttrs), keyed by potential.  ``simulate``
 decides once which components are live (one zero at the start stays so) and
-steps and reduces only that tuple; a component's sign s (+1 up, -1 down)
-sets both its potential (static + s*b1*x while the field is on) and its
-share s*|c|^2 of the spin.  Initial positions are inverse-CDF samples from
-|psi(0)|^2 drawn with a seeded PCG64 generator, and trajectories come from
-the 1-D quantile map x_t = F_t^-1(F_0(x0)).  Guidance trajectories in one
-dimension never cross and keep the ensemble |psi|^2-distributed, so the
-point that starts at quantile u of rho_0 sits at quantile u of rho_t.  F_t is
-the cumulative density at cell edges; the stepper conserves the midpoint
-edge current exactly, so F_t is the integral of the flux it carries.  That
-edge current (``_edge_current``) is the one current the module computes.
+reduces only that tuple; a component's sign s (+1 up, -1 down) sets both its
+potential (static + s*b1*x while the field is on) and its share s*|c|^2 of
+the spin.  Each live component is an amplitude times a basis evolution.  A
+given initial field is stepped per component.  A prepared angle whose grid,
+static potential and packet the mirror x -> -x maps exactly onto themselves
+steps the packet once, under +b1*x, as U: the mirror swaps +b1*x and -b1*x,
+so the down component is sin(theta/2) U[::-1] and one solve per step serves
+both components (any other grid steps each).  Initial positions are
+inverse-CDF samples from |psi(0)|^2 drawn with a seeded PCG64 generator, and
+trajectories come from the 1-D quantile map x_t = F_t^-1(F_0(x0)).  Guidance
+trajectories in one dimension never cross and keep the ensemble
+|psi|^2-distributed, so the point that starts at quantile u of rho_0 sits at
+quantile u of rho_t.  F_t is the cumulative density at cell edges; the
+stepper conserves the midpoint edge current exactly, so F_t is the integral
+of the flux it carries.  That edge current (``_edge_current``) is the one
+current the module computes.
 
 ``simulate`` streams the evolution: each frame is reduced to its norm and
 continuity residual and then dropped, so the record keeps no per-frame
@@ -179,12 +185,27 @@ def gaussian_packet(x, dx, x0, sigma, k0) -> np.ndarray:
     return amp
 
 
+def _packet(config: SternGerlachConfig) -> np.ndarray:
+    """The unit packet P at rest at x = 0, width PACKET_SIGMA."""
+    return gaussian_packet(config.x, config.dx, 0.0, PACKET_SIGMA, 0.0)
+
+
+def _mirrored(config: SternGerlachConfig, packet: np.ndarray) -> bool:
+    """Whether the mirror x -> -x maps the grid, the static potential and
+    ``packet`` exactly onto themselves.  It then swaps +b1 x and -b1 x, so
+    the packet's evolution under -b1 x is its evolution under +b1 x
+    mirrored."""
+    x, v = config.x, config.static_potential
+    return (np.array_equal(x, -x[::-1]) and np.array_equal(packet, packet[::-1])
+            and (v is None or np.array_equal(v, v[::-1])))
+
+
 def prepare(config: SternGerlachConfig, theta: float) -> SpinorField:
     """Packet at rest at x = 0, width PACKET_SIGMA, carrying the spinor
     cos(theta/2)*up + sin(theta/2)*down."""
     if not 0.0 <= theta <= np.pi:
         raise DomainError(f"preparation angle must lie in [0, pi], got {theta!r}")
-    packet = gaussian_packet(config.x, config.dx, 0.0, PACKET_SIGMA, 0.0)
+    packet = _packet(config)
     return SpinorField(
         x=config.x,
         dx=config.dx,
@@ -231,12 +252,12 @@ def _potential(config: SternGerlachConfig, s: int) -> np.ndarray:
     return base + s * config.b1 * config.x
 
 
-def _cn_steps(config: SternGerlachConfig, signs, comps, steps: int):
-    """The time-stepping loop: yield the tuple of components after each step.
+def _cn_steps(config: SternGerlachConfig, signs, fields, steps: int):
+    """The time-stepping loop: yield the tuple of fields after each step.
 
-    A component of sign s feels ``_potential`` s while the field is on and 0
-    after; steppers are keyed by that potential, so each is factored once
-    and shared by the components that see it (with b1 = 0, potential 0).
+    The field of sign s feels ``_potential`` s while the gradient is on and
+    0 after; steppers are keyed by that potential, so each is factored once
+    and shared by the fields that see it (with b1 = 0, potential 0).
     """
     steppers = {}
     for n in range(steps):
@@ -245,8 +266,8 @@ def _cn_steps(config: SternGerlachConfig, signs, comps, steps: int):
         for key in keys:
             if key not in steppers:
                 steppers[key] = _stepper(config, _potential(config, key))
-        comps = tuple(steppers[key](c) for key, c in zip(keys, comps))
-        yield comps
+        fields = tuple(steppers[key](f) for key, f in zip(keys, fields))
+        yield fields
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +397,15 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
              field0: SpinorField | None = None, points=()) -> EvolutionRecord:
     """Evolve a preparation over the full configured span, streaming frames.
 
+    The preparation is ``field0`` if given, else ``prepare(config, theta)``.
     Each frame is reduced to its norm and continuity residual and dropped.
     The tracked ``points`` (each in [x_min, x_max], else DomainError before
     the first step) are carried through every frame by the quantile map.
     A ``field0`` whose x is not ``config.x`` is a DomainError, also before
     the first step.
     """
-    if field0 is None:
+    prepared = field0 is None
+    if prepared:
         field0 = prepare(config, theta)
     if not np.array_equal(field0.x, config.x):
         raise DomainError("field0 is not on the configured grid: its x differs "
@@ -392,6 +415,22 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
     # zero RHS solves to zero), so it is neither stepped nor reduced.
     signs, comps0 = zip(*[(s, c) for s, c in ((1, field0.up), (-1, field0.down))
                           if c.any()])
+    # Each component is amplitude * basis field (mirrored x -> -x where
+    # flagged), each basis stepped under the potential of its key: by default
+    # its own, at amplitude 1; for a mirror-symmetric prepared angle, the one
+    # packet P stepped under +b1 x as U, with up = cos(theta/2) U and
+    # down = sin(theta/2) U[::-1].
+    keys, bases0 = signs, comps0
+    terms = tuple((1.0, b, False) for b in range(len(signs)))
+    packet = _packet(config) if prepared else None
+    if prepared and _mirrored(config, packet):
+        amplitude = {1: np.cos(theta / 2.0), -1: np.sin(theta / 2.0)}
+        keys, bases0 = (1,), (packet,)
+        terms = tuple((amplitude[s], 0, s < 0) for s in signs)
+
+    def components(bases):
+        return tuple(a * (bases[b][::-1] if m else bases[b]) for a, b, m in terms)
+
     grid, dx, n_steps = config.x, config.dx, config.n_steps
     edges = _edges(grid, dx)
     times = config.dt * np.arange(n_steps + 1)
@@ -417,8 +456,10 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
                     grid, edges, dx, q, spin_blk[:i + 1], rho_blk[:i + 1])
         return rho
 
+    comps0 = components(bases0)
     rho0 = frame(0, comps0)
-    for k, comps1 in enumerate(_cn_steps(config, signs, comps0, n_steps), 1):
+    for k, bases1 in enumerate(_cn_steps(config, keys, bases0, n_steps), 1):
+        comps1 = components(bases1)
         rho1 = frame(k, comps1)
         cont[k - 1] = _continuity_residual(config, comps0, comps1, rho0, rho1)
         comps0, rho0 = comps1, rho1
@@ -543,18 +584,20 @@ class EnsembleRun:
     stats: EnsembleStats
 
 
-def _run(config: SternGerlachConfig, field0: SpinorField, n: int, seed: int,
-         paths: int, outcomes_of) -> EnsembleRun:
-    """Sample n initial points, evolve with the first ``paths`` of them
-    tracked, carry all of them to the end and tally.
+def _run(field0: SpinorField, evolve, n: int, seed: int, paths: int,
+         outcomes_of) -> EnsembleRun:
+    """Sample n initial points from ``field0``, evolve with the first
+    ``paths`` of them tracked, carry all of them to the end and tally.
 
-    ``outcomes_of`` maps the integrated ensemble to one OUTCOME_* per point.
-    DomainError for ``paths`` outside [0, n], before anything is sampled.
+    ``evolve(points)`` is the scene's ``simulate`` of ``field0`` with those
+    points tracked, and ``outcomes_of`` maps the integrated ensemble to one
+    OUTCOME_* per point.  DomainError for ``paths`` outside [0, n], before
+    anything is sampled.
     """
     if not 0 <= paths <= n:
         raise DomainError(f"paths must lie in [0, n = {n}], got {paths}")
     x0s = sample_initial(field0, n, seed)
-    record = simulate(config, field0=field0, points=x0s[:paths])
+    record = evolve(x0s[:paths])
     ens = integrate_ensemble(record, x0s)
     return EnsembleRun(record=record, x0=ens.x0,
                        stats=_stats_from_outcomes(outcomes_of(ens), seed))
@@ -563,8 +606,9 @@ def _run(config: SternGerlachConfig, field0: SpinorField, n: int, seed: int,
 def run_ensemble(config: SternGerlachConfig, theta: float, n: int,
                  seed: int, paths: int = 0) -> EnsembleRun:
     """Spin analyzer: the outcome is the sign of the final local spin."""
-    return _run(config, prepare(config, theta), n, seed, paths,
-                lambda ens: ens.outcomes)
+    return _run(prepare(config, theta),
+                lambda points: simulate(config, theta, points=points),
+                n, seed, paths, lambda ens: ens.outcomes)
 
 
 def ks_distance(samples: np.ndarray, field: SpinorField) -> float:
@@ -638,8 +682,10 @@ def beam_splitter_scene(prep: str, n: int, seed: int,
         outcomes[np.abs(ens.final_x) <= 2.0 * BARRIER_WIDTH] = OUTCOME_UNRESOLVED
         return outcomes
 
-    return _run(config, prepare_beam_splitter(config, prep), n, seed, paths,
-                gates)
+    field0 = prepare_beam_splitter(config, prep)
+    return _run(field0,
+                lambda points: simulate(config, field0=field0, points=points),
+                n, seed, paths, gates)
 
 
 def transmitted_mass(record: EvolutionRecord) -> float:

@@ -30,6 +30,7 @@ was checked, HiGHS's x polished on its support when it misses the check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -127,10 +128,15 @@ def _kron_rows(factors: np.ndarray, combos, arity: int) -> np.ndarray:
 
 def _check_keys(keys, n_outcomes: int, n_preps: int, arity: int) -> None:
     """NogoError for an (outcome index, preparation tuple) key whose tuple
-    length is not ``arity`` or whose indices do not fit."""
+    length is not ``arity`` or whose indices are not integers (as
+    ``operator.index`` takes them) that fit."""
     for i, preps in keys:
-        if (len(preps) != arity or not 0 <= i < n_outcomes
-                or not all(0 <= j < n_preps for j in preps)):
+        try:
+            fits = (len(preps) == arity and 0 <= operator.index(i) < n_outcomes
+                    and all(0 <= operator.index(j) < n_preps for j in preps))
+        except TypeError:
+            fits = False
+        if not fits:
             raise NogoError(f"key {(i, preps)!r} does not fit arity {arity}, "
                             f"{n_outcomes} outcomes and {n_preps} preparations")
 

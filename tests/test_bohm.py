@@ -197,6 +197,14 @@ def field_with_dead(cfg, dead):
     return bohm.SpinorField(x=cfg.x, dx=cfg.dx, up=up, down=down)
 
 
+def uneven_potential_config(**fields):
+    """The analyzer (default fields but ``fields``) with a static step at
+    x = 5, which the mirror x -> -x does not map onto itself."""
+    grid = bohm.SternGerlachConfig()
+    return bohm.SternGerlachConfig(
+        static_potential=np.where(grid.x > 5.0, 0.2, 0.0), **fields)
+
+
 class TestStepper:
     @pytest.mark.parametrize("dead", ["down", "up", "none"])
     def test_zero_component_diagnostics_match_reference(self, dead):
@@ -286,9 +294,12 @@ class TestStepper:
             bohm.simulate(bohm.SternGerlachConfig(t_final=0.01), 0.0)
 
     def test_one_factorization_per_distinct_potential(self, monkeypatch):
-        """The analyzer factors +b1 x, -b1 x and the field-off potential; the
-        beam splitter (b1 = 0) sees one potential throughout, and a spin-up
-        analyzer run never factors the dead down component's -b1 x."""
+        """The analyzer factors +b1 x and the field-off potential: on the
+        default grid the down component is the up evolution mirrored, so
+        -b1 x is never factored.  The beam splitter (b1 = 0) sees one
+        potential throughout.  Where a mirror check fails (x != -x[::-1] in
+        floating point at 1000 cells, or a static potential that is not
+        even) the analyzer factors -b1 x as well."""
         zgttrf, calls = bohm.zgttrf, []
 
         def counting(*args, **kwargs):
@@ -299,9 +310,60 @@ class TestStepper:
         bohm.beam_splitter_scene("plus", 10, seed=1)
         assert len(calls) == 1
         bohm.simulate(bohm.SternGerlachConfig(), np.pi / 2)
-        assert len(calls) == 4
+        assert len(calls) == 3
         bohm.simulate(bohm.SternGerlachConfig(), 0.0)
-        assert len(calls) == 6
+        assert len(calls) == 5
+        bohm.simulate(bohm.SternGerlachConfig(cells=1000), np.pi / 2)
+        assert len(calls) == 8
+        bohm.simulate(uneven_potential_config(), np.pi / 2)
+        assert len(calls) == 11
+
+    @pytest.mark.parametrize("config, per_step", [
+        (bohm.SternGerlachConfig(), 1),
+        (bohm.SternGerlachConfig(cells=1000, t_final=0.1), 2),
+        (uneven_potential_config(t_final=0.1), 2),
+    ], ids=["default", "cells-1000", "uneven-potential"])
+    def test_mirror_halves_the_solves(self, monkeypatch, config, per_step):
+        """Both components of the default analyzer cost one solve per step
+        (3000 in all), and two per step where a mirror check fails."""
+        zgttrs, calls = bohm.zgttrs, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return zgttrs(*args, **kwargs)
+
+        monkeypatch.setattr(bohm, "zgttrs", counting)
+        bohm.simulate(config, np.pi / 2)
+        assert len(calls) == per_step * config.n_steps
+
+    @pytest.mark.parametrize("theta", [np.pi / 2, 1.0])
+    def test_mirrored_evolution_matches_two_evolutions(self, theta):
+        """The prepared angle read off one mirrored evolution agrees with the
+        same field passed as field0, whose components are stepped under
+        +b1 x and -b1 x separately."""
+        cfg = bohm.SternGerlachConfig(t_final=0.3)
+        field0 = bohm.prepare(cfg, theta)
+        x0 = bohm.sample_initial(field0, 8, seed=4)
+        rec = bohm.simulate(cfg, theta, points=x0)
+        ref = bohm.simulate(cfg, field0=field0, points=x0)
+        peak = np.max(np.abs(bohm.prepare(cfg, 0.0).up))
+        for comp in ("up", "down"):
+            diff = getattr(rec.final, comp) - getattr(ref.final, comp)
+            assert np.max(np.abs(diff)) <= 1e-12 * peak
+        assert np.max(np.abs(rec.paths_x - ref.paths_x)) <= 1e-9
+        assert np.max(np.abs(rec.norms - ref.norms)) <= 1e-12
+        assert np.max(np.abs(rec.continuity - ref.continuity)) <= 1e-12
+        assert np.array_equal(np.isnan(rec.paths_sigma),
+                              np.isnan(ref.paths_sigma))
+
+    def test_mirrored_run_outcomes_match_two_evolutions(self, default_config):
+        """All N = 10^4 outcomes of the one-evolution run equal those read
+        off the two-evolution reference."""
+        run = bohm.run_ensemble(default_config, np.pi / 2, 10_000, seed=1)
+        field0 = bohm.prepare(default_config, np.pi / 2)
+        ref = bohm.simulate(default_config, field0=field0)
+        got = bohm.integrate_ensemble(run.record, run.x0).outcomes
+        assert np.array_equal(got, bohm.integrate_ensemble(ref, run.x0).outcomes)
 
 
 def local_spin(field):

@@ -238,6 +238,8 @@ class TestLpFeasibility:
         {(7, (0, 1)): 0.5},   # outcome 7 of two
         {(-1, (0, 1)): 0.5},  # outcome -1
         {(0, (0,)): 0.5},     # one preparation for arity 2
+        {(0, (0, 1.5)): 0.5, (1, (0, 1)): 0.5},  # preparation 1.5
+        {(0.5, (0, 1)): 0.5},  # outcome 0.5
     ])
     def test_born_key_that_does_not_fit_raises(self, born):
         space = ont.LambdaSpace(weights=np.ones(3))

@@ -12,38 +12,38 @@ the force -b1 and the down component +b1, and lengths are in units of
 PACKET_SIGMA, the width of the packet at rest centred at 0 that ``prepare``
 builds.  Every evolution starts at t = 0.
 
-Numerics: Crank-Nicolson stepping per component on a uniform grid with
-hard-wall boundaries (norm-preserving by construction); the tridiagonal
-matrix of each potential is LU-factored once (LAPACK zgttrf) and every step
-is one solve on those factors (zgttrs), keyed by potential.  ``simulate``
-decides once which components are live (one zero at the start stays so) and
-reduces only that tuple; a component's sign s (+1 up, -1 down) sets both its
-potential (static + s*b1*x while the field is on) and its share s*|c|^2 of
-the spin.  Each live component is an amplitude times a basis evolution.  A
-given initial field is stepped per component.  A prepared angle whose grid,
-static potential and packet the mirror x -> -x maps exactly onto themselves
-steps the packet once, under +b1*x, as U: the mirror swaps +b1*x and -b1*x,
-so the down component is sin(theta/2) U[::-1] and one solve per step serves
-both components (any other grid steps each).  Initial positions are
-inverse-CDF samples from |psi(0)|^2 drawn with a seeded PCG64 generator, and
-trajectories come from the 1-D quantile map x_t = F_t^-1(F_0(x0)).  Guidance
-trajectories in one dimension never cross and keep the ensemble
-|psi|^2-distributed, so the point that starts at quantile u of rho_0 sits at
-quantile u of rho_t.  F_t is the cumulative density at cell edges; the
-stepper conserves the midpoint edge current exactly, so F_t is the integral
-of the flux it carries.  That edge current (``_edge_current``) is the one
-current the module computes.
+Numerics: Crank-Nicolson stepping on a uniform grid with hard-wall
+boundaries (norm-preserving by construction); each potential's tridiagonal
+matrix is LU-factored once (LAPACK zgttrf) and every step is one zgttrs
+solve on those factors.  ``simulate`` decides once which components are live
+(one zero at the start stays so); a component's sign s (+1 up, -1 down) sets
+its potential (static + s*b1*x while the field is on) and its share s*|c|^2
+of the spin.  Each live component is an amplitude times a stepped basis
+field: a given initial field steps each live component at amplitude 1, and a
+prepared angle whose grid, static potential and packet the mirror x -> -x
+maps exactly onto themselves steps the packet once, under +b1*x, as U, with
+down = sin(theta/2) U[::-1] (the mirror swaps +b1*x and -b1*x).  Frames are
+reduced per basis field B: with W the summed |amplitude|^2 on B, the norm is
+sum W sum|B|^2 dx and the continuity entry sum W max|r_B|, the field's own
+residual for one basis at weight 1, an upper bound on a mirrored run's
+combined cos^2 r_U + sin^2 r_U[::-1].  Initial positions are inverse-CDF
+samples from |psi(0)|^2 (a seeded PCG64 generator), and trajectories come
+from the 1-D quantile map x_t = F_t^-1(F_0(x0)): guidance trajectories in
+one dimension never cross and keep the ensemble |psi|^2-distributed, so a
+point that starts at quantile u of rho_0 sits at quantile u of rho_t.  F_t
+is the cumulative density at cell edges, the integral of the midpoint edge
+current (``_edge_current``, the one current the module computes) that the
+stepper conserves exactly.  The map is ill-conditioned where F_0(x0) is
+within rounding of 0 or 1 (the far tails): rounding sets those paths.
 
-``simulate`` streams the evolution: each frame is reduced to its norm and
-continuity residual and then dropped, so the record keeps no per-frame
-history, only the first and the last field.  Points given to ``simulate`` up
-front are carried through every frame inside the stepping loop: each frame's
-rho and |up|^2 - |down|^2 are copied into a block of PATH_BLOCK frames, and
-each full block is mapped at once (one cumulative sum for the CDFs, one
-local-spin pass), which records the points' positions and local spin as
-(frames, points) arrays; ``integrate_ensemble`` carries any other points
-from the first frame to the last.  The CSV and SVG writers stream those
-arrays to an open file one path at a time.
+``simulate`` streams the evolution: each frame is reduced and dropped; the
+record keeps the first and last fields and the last frame's rho and
+|up|^2 - |down|^2, built from the basis densities only where read: there,
+where ``integrate_ensemble`` carries any points, and for points given to
+``simulate`` up front, whose frames are mapped a block of PATH_BLOCK at a
+time (one cumulative sum, one local-spin pass) into (frames, points)
+positions and local spins, which the CSV and SVG writers stream to an open
+file one path at a time.
 
 Both scenes, the spin analyzer (``run_ensemble``) and the beam splitter
 (``beam_splitter_scene``), run the same pipeline (sample, simulate with the
@@ -54,6 +54,7 @@ into an OUTCOME_* value.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -121,6 +122,8 @@ class SternGerlachConfig:
                 f"t_final / dt = {self.t_final / self.dt:.3g} rounds to zero steps"
             )
         if self.static_potential is not None:
+            if np.iscomplexobj(self.static_potential):
+                raise ConfigError("static potential must be real")
             v = np.asarray(self.static_potential, dtype=float)
             if v.shape != (self.cells,):
                 raise ConfigError("static potential does not match the grid")
@@ -275,15 +278,11 @@ def _cn_steps(config: SternGerlachConfig, signs, fields, steps: int):
 # ---------------------------------------------------------------------------
 
 
-def _edge_current(comps, dx: float) -> np.ndarray:
-    """Current through the cells + 1 edges, summed over the components.
-
-    Interior edge k + 1/2 carries Im(conj(psi_k) psi_k+1) / dx; the hard
-    walls carry none.
-    """
-    j = np.zeros(len(comps[0]) + 1)
-    for a in comps:
-        j[1:-1] += np.imag(np.conj(a[:-1]) * a[1:])
+def _edge_current(psi, dx: float) -> np.ndarray:
+    """Current of one field through the cells + 1 edges: interior edge
+    k + 1/2 carries Im(conj(psi_k) psi_k+1) / dx, the hard walls none."""
+    j = np.zeros(len(psi) + 1)
+    j[1:-1] = np.imag(np.conj(psi[:-1]) * psi[1:])
     return (1.0 / dx) * j
 
 
@@ -296,13 +295,14 @@ def _edge_current(comps, dx: float) -> np.ndarray:
 class EvolutionRecord:
     """One streamed evolution: per-step diagnostics, end fields, kept paths.
 
-    No per-frame density is kept.  ``norms`` holds the norm of every frame
-    and ``continuity``, per step, the largest residual of the discrete
-    conservation law (d_t rho + div J = 0) evaluated with the midpoint edge
-    current that the implicit stepper conserves.  ``paths_x`` and
+    ``norms`` holds the norm of every frame and ``continuity``, per step,
+    the largest residual of the discrete conservation law (d_t rho + div J
+    = 0) with the midpoint edge current that the implicit stepper conserves,
+    summed over the basis fields at their weights.  ``paths_x`` and
     ``paths_sigma`` hold the position and local spin of each tracked point
-    at every frame, shape (frames, points); spin entries are NaN where the
-    density falls below the node threshold of their frame.
+    at every frame, (frames, points), NaN spin where the density falls below
+    its frame's node threshold; ``final_spin`` and ``final_rho`` are the
+    last frame's |up|^2 - |down|^2 and rho.
     """
 
     config: SternGerlachConfig
@@ -313,16 +313,8 @@ class EvolutionRecord:
     paths_sigma: np.ndarray
     initial: SpinorField
     final: SpinorField
-
-
-def _densities(signs, comps):
-    """The spin sum(s |c|^2) (|up|^2 - |down|^2) and rho = sum(|c|^2) of the
-    components c with signs s."""
-    spin = rho = 0.0
-    for s, c in zip(signs, comps):
-        a = np.abs(c) ** 2
-        spin, rho = (spin + a if s > 0 else spin - a), rho + a
-    return spin, rho
+    final_spin: np.ndarray
+    final_rho: np.ndarray
 
 
 def _local_spin(spin, rho):
@@ -334,17 +326,13 @@ def _local_spin(spin, rho):
     return np.clip(sig, -1.0, 1.0, out=sig)
 
 
-def _continuity_residual(config, comps0, comps1, rho0, rho1):
-    """Discrete conservation residual over one step.
-
-    Uses the edge current of the time-midpoint components, which is the
-    current the implicit stepper conserves exactly; ``rho0``/``rho1`` are the
-    densities of the two frames.
-    """
-    j = _edge_current([0.5 * (a0 + a1) for a0, a1 in zip(comps0, comps1)],
-                      config.dx)
-    div = np.diff(j) / config.dx
-    return float(np.max(np.abs((rho1 - rho0) / config.dt + div)))
+def _continuity_residual(config, b0, b1, d0, d1):
+    """Discrete conservation residual of one basis field over one step, with
+    the edge current of its time midpoint (the current the implicit stepper
+    conserves exactly); ``d0``/``d1`` are |b0|^2 and |b1|^2."""
+    j = _edge_current(0.5 * (b0 + b1), config.dx)
+    div = (j[1:] - j[:-1]) / config.dx
+    return float(np.abs((d1 - d0) / config.dt + div).max())
 
 
 def _edges(x, dx):
@@ -382,7 +370,7 @@ def _quantile_map(grid, edges, dx, q, spin, rho):
     """Positions x_t = F_t^-1(q) and the local spin there, (frames, points).
 
     ``edges`` are the grid's cell edges (``_edges``); ``spin`` and ``rho``
-    are the frames' (frames, cells) densities from ``_densities``.
+    are the frames' (frames, cells) |up|^2 - |down|^2 and density.
     """
     cdfs, sigs = _cdf(rho, dx), _local_spin(spin, rho)
     xs = np.empty((len(rho), len(q)))
@@ -415,21 +403,24 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
     # zero RHS solves to zero), so it is neither stepped nor reduced.
     signs, comps0 = zip(*[(s, c) for s, c in ((1, field0.up), (-1, field0.down))
                           if c.any()])
-    # Each component is amplitude * basis field (mirrored x -> -x where
-    # flagged), each basis stepped under the potential of its key: by default
-    # its own, at amplitude 1; for a mirror-symmetric prepared angle, the one
-    # packet P stepped under +b1 x as U, with up = cos(theta/2) U and
-    # down = sin(theta/2) U[::-1].
-    keys, bases0 = signs, comps0
-    terms = tuple((1.0, b, False) for b in range(len(signs)))
+    # Terms (sign, amplitude, basis, mirrored x -> -x): each live component
+    # is its own basis at amplitude 1, but a mirror-symmetric prepared angle
+    # steps the packet P under +b1 x as U: up = cos(theta/2) U, down =
+    # sin(theta/2) U[::-1].  A basis weighs the summed amplitude^2 on it.
+    keys, bases0, weights = signs, comps0, [1.0] * len(signs)
+    terms = tuple((s, 1.0, b, False) for b, s in enumerate(signs))
     packet = _packet(config) if prepared else None
     if prepared and _mirrored(config, packet):
         amplitude = {1: np.cos(theta / 2.0), -1: np.sin(theta / 2.0)}
         keys, bases0 = (1,), (packet,)
-        terms = tuple((amplitude[s], 0, s < 0) for s in signs)
+        terms = tuple((s, amplitude[s], 0, s < 0) for s in signs)
+        weights = [sum(amplitude[s] * amplitude[s] for s in signs)]
 
-    def components(bases):
-        return tuple(a * (bases[b][::-1] if m else bases[b]) for a, b, m in terms)
+    def densities(dens):
+        """|up|^2 - |down|^2 and rho from the basis densities ``dens``."""
+        parts = [(a * a) * (dens[b][::-1] if m else dens[b])
+                 for _, a, b, m in terms]
+        return sum(s * d for (s, *_), d in zip(terms, parts)), sum(parts)
 
     grid, dx, n_steps = config.x, config.dx, config.n_steps
     edges = _edges(grid, dx)
@@ -444,32 +435,33 @@ def simulate(config: SternGerlachConfig, theta: float = 0.0,
     block = min(PATH_BLOCK, n_steps + 1) if len(q) else 0
     spin_blk, rho_blk = np.empty((block, len(grid))), np.empty((block, len(grid)))
 
-    def frame(k, comps):
-        """Record frame k's norm and tracked points; return its density."""
-        spin, rho = _densities(signs, comps)
-        norms[k] = np.sum(rho) * dx
+    def frame(k, bases):
+        """Record frame k's norm and paths; return its basis densities."""
+        dens = [np.abs(f) ** 2 for f in bases]
+        norms[k] = sum(w * d.sum() for w, d in zip(weights, dens)) * dx
         if block:
             i = k % block
-            spin_blk[i], rho_blk[i] = spin, rho
+            spin_blk[i], rho_blk[i] = densities(dens)
             if i == block - 1 or k == n_steps:
                 paths_x[k - i:k + 1], paths_sigma[k - i:k + 1] = _quantile_map(
                     grid, edges, dx, q, spin_blk[:i + 1], rho_blk[:i + 1])
-        return rho
+        return dens
 
-    comps0 = components(bases0)
-    rho0 = frame(0, comps0)
+    dens0 = frame(0, bases0)
     for k, bases1 in enumerate(_cn_steps(config, keys, bases0, n_steps), 1):
-        comps1 = components(bases1)
-        rho1 = frame(k, comps1)
-        cont[k - 1] = _continuity_residual(config, comps0, comps1, rho0, rho1)
-        comps0, rho0 = comps1, rho1
+        dens1 = frame(k, bases1)
+        cont[k - 1] = sum(w * _continuity_residual(config, *f) for w, *f in
+                          zip(weights, bases0, bases1, dens0, dens1))
+        bases0, dens0 = bases1, dens1
 
-    live = dict(zip(signs, comps0))
+    final_spin, final_rho = densities(dens0)
+    live = {s: a * (bases0[b][::-1] if m else bases0[b]) for s, a, b, m in terms}
     final = SpinorField(x=grid, dx=dx, up=live.get(1, field0.up),
                         down=live.get(-1, field0.down))
     return EvolutionRecord(
         config=config, times=times, norms=norms, continuity=cont,
         paths_x=paths_x, paths_sigma=paths_sigma, initial=field0, final=final,
+        final_spin=final_spin, final_rho=final_rho,
     )
 
 
@@ -492,15 +484,16 @@ class EnsembleTrajectories:
 def integrate_ensemble(record: EvolutionRecord, x0s) -> EnsembleTrajectories:
     """Carry many initial points to the final time by the quantile map.
 
-    Only the first and the last field are read; an outcome is the sign of the
-    final local spin where it is resolved.
+    Only the first field and the last frame's densities are read, the ones
+    the tracked paths end on; an outcome is the sign of the final local spin
+    where it is resolved.
     """
-    config, final = record.config, record.final
+    config = record.config
     x0, q = _start_quantiles(config, record.initial, x0s)
     grid, dx = config.x, config.dx
-    spin, rho = _densities((1, -1), (final.up, final.down))
-    (final_x,), (final_sigma,) = _quantile_map(grid, _edges(grid, dx), dx, q,
-                                               spin[None], rho[None])
+    (final_x,), (final_sigma,) = _quantile_map(
+        grid, _edges(grid, dx), dx, q, record.final_spin[None],
+        record.final_rho[None])
     outcomes = np.zeros(x0.shape, dtype=int)
     resolved = np.isfinite(final_sigma) & (
         np.abs(final_sigma) > 1.0 - SIGMA_RESOLVED
@@ -514,7 +507,11 @@ def integrate_ensemble(record: EvolutionRecord, x0s) -> EnsembleTrajectories:
 
 def sample_initial(field0: SpinorField, n: int, seed: int) -> np.ndarray:
     """Inverse-CDF samples from |psi(0)|^2 using a seeded PCG64 stream;
-    DomainError for n < 1 or a negative seed."""
+    DomainError for n < 1, a negative seed, or a non-integer n or seed."""
+    try:
+        n, seed = operator.index(n), operator.index(seed)
+    except TypeError:
+        raise DomainError(f"non-integer n or seed: {n!r}, {seed!r}") from None
     if n < 1:
         raise DomainError(f"need at least one sample, got n={n}")
     if seed < 0:
@@ -612,8 +609,11 @@ def run_ensemble(config: SternGerlachConfig, theta: float, n: int,
 
 
 def ks_distance(samples: np.ndarray, field: SpinorField) -> float:
-    """Kolmogorov-Smirnov distance of samples against the field's |psi|^2."""
+    """Kolmogorov-Smirnov distance of samples against the field's |psi|^2;
+    DomainError for no samples or a non-finite one."""
     s = np.sort(np.asarray(samples, dtype=float))
+    if not (s.size and np.all(np.isfinite(s))):
+        raise DomainError("KS distance needs at least one sample, all finite")
     model = np.interp(s, _edges(field.x, field.dx), _cdf(field.rho(), field.dx))
     n = len(s)
     empirical_hi = np.arange(1, n + 1) / n

@@ -52,6 +52,8 @@ class TestConfig:
         barrier[7] = np.nan
         with pytest.raises(bohm.ConfigError, match="finite"):
             bohm.SternGerlachConfig(static_potential=barrier)
+        with pytest.raises(bohm.ConfigError, match="real"):
+            bohm.SternGerlachConfig(static_potential=np.full(1792, 0.1 + 0.2j))
 
     def test_grid_metadata(self, default_config):
         cfg = default_config
@@ -140,7 +142,9 @@ def banded_reference_step(config, potential):
 
 def reference_diagnostics(config, field0):
     """rho, sigma, norms and continuity of ``simulate`` with every component
-    evaluated, an identically zero one included."""
+    evaluated, an identically zero one included; then the norms and
+    continuity summed per component, each component its own basis field at
+    amplitude 1: the sum of its norms and the sum of its largest residuals."""
     dx, dt = config.dx, config.dt
 
     def frame(up, down):
@@ -151,23 +155,35 @@ def reference_diagnostics(config, field0):
         sig[rho < bohm.NODE_EPS_FACTOR * np.max(rho)] = np.nan
         return rho, np.clip(sig, -1.0, 1.0)
 
+    def residual(a0, a1, rho0, rho1):
+        j = np.zeros(config.cells + 1)
+        for b0, b1 in zip(a0, a1):
+            mid = 0.5 * (b0 + b1)
+            j[1:-1] += np.imag(np.conj(mid[:-1]) * mid[1:])
+        j *= 1.0 / dx
+        return float(np.max(np.abs((rho1 - rho0) / dt + np.diff(j) / dx)))
+
+    def basis_norm(comps):
+        return sum(np.sum(np.abs(c) ** 2) for c in comps) * dx
+
     prev = (field0.up, field0.down)
     rho, sig = frame(*prev)
     rhos, sigs, cont = [rho], [sig], []
+    basis_norms, basis_cont = [basis_norm(prev)], []
     for comps in bohm._cn_steps(config, (1, -1), (field0.up, field0.down),
                                 config.n_steps):
         rho, sig = frame(*comps)
-        j = np.zeros(config.cells + 1)
-        for a0, a1 in zip(prev, comps):
-            mid = 0.5 * (a0 + a1)
-            j[1:-1] += np.imag(np.conj(mid[:-1]) * mid[1:])
-        j *= 1.0 / dx
-        cont.append(float(np.max(np.abs((rho - rhos[-1]) / dt + np.diff(j) / dx))))
+        cont.append(residual(prev, comps, rhos[-1], rho))
+        basis_norms.append(basis_norm(comps))
+        basis_cont.append(sum(
+            residual((a0,), (a1,), np.abs(a0) ** 2, np.abs(a1) ** 2)
+            for a0, a1 in zip(prev, comps)))
         rhos.append(rho)
         sigs.append(sig)
         prev = comps
     rho = np.array(rhos)
-    return rho, np.array(sigs), np.sum(rho, axis=1) * dx, np.array(cont)
+    return (rho, np.array(sigs), np.sum(rho, axis=1) * dx, np.array(cont),
+            np.array(basis_norms), np.array(basis_cont))
 
 
 def reference_paths(config, rho, sigma, x0):
@@ -210,12 +226,17 @@ class TestStepper:
     def test_zero_component_diagnostics_match_reference(self, dead):
         """The streamed record equals the full per-frame history reduced
         afterwards, with a zero component's density and current skipped
-        (``dead``) or both components live at theta = pi/2."""
+        (``dead``) or both components live at theta = pi/2.  Each live
+        component of a given field is its own basis field, so with both live
+        the norms and residuals are summed per basis."""
         cfg = bohm.SternGerlachConfig(t_final=0.3)
         field0 = field_with_dead(cfg, dead)
         x0 = bohm.sample_initial(field0, 8, seed=4)
         rec = bohm.simulate(cfg, field0=field0, points=x0)
-        rho, sigma, norms, continuity = reference_diagnostics(cfg, field0)
+        rho, sigma, norms, continuity, basis_norms, basis_continuity = (
+            reference_diagnostics(cfg, field0))
+        if dead == "none":
+            norms, continuity = basis_norms, basis_continuity
         xs, sigmas = reference_paths(cfg, rho, sigma, x0)
         got = (rec.norms, rec.continuity, rec.paths_x, rec.paths_sigma)
         for a, b in zip(got, (norms, continuity, xs, sigmas)):
@@ -236,7 +257,7 @@ class TestStepper:
         field0 = field_with_dead(cfg, dead)
         x0 = bohm.sample_initial(field0, 8, seed=4)
         rec = bohm.simulate(cfg, field0=field0, points=x0)
-        rho, sigma, _, _ = reference_diagnostics(cfg, field0)
+        rho, sigma, *_ = reference_diagnostics(cfg, field0)
         xs, sigmas = reference_paths(cfg, rho, sigma, x0)
         assert rec.paths_x.shape == (frames, 8)
         assert np.array_equal(rec.paths_x, xs, equal_nan=True)
@@ -244,7 +265,7 @@ class TestStepper:
 
     def test_record_keeps_no_frame_history(self, record_half):
         """Without tracked points the record holds O(cells + steps) bytes
-        (0.22 MB at the default grid), not a (frames, cells) array."""
+        (0.24 MB at the default grid), not a (frames, cells) array."""
         nbytes = sum(
             v.nbytes
             for obj in (record_half, record_half.initial, record_half.final)
@@ -365,15 +386,25 @@ class TestStepper:
         got = bohm.integrate_ensemble(run.record, run.x0).outcomes
         assert np.array_equal(got, bohm.integrate_ensemble(ref, run.x0).outcomes)
 
+    def test_one_evolution_one_residual(self, default_config, record_half):
+        """The mirrored pi/2 run reduces the one packet evolution that the
+        theta = 0 run steps, at weight cos^2 + sin^2, so its norms and
+        continuity residuals are that run's."""
+        ref = bohm.simulate(default_config, 0.0)
+        for got, want in ((record_half.norms, ref.norms),
+                          (record_half.continuity, ref.continuity)):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
 
 def local_spin(field):
     """The local spin the record's paths and ensembles read off a field."""
-    return bohm._local_spin(*bohm._densities((1, -1), (field.up, field.down)))
+    up2, down2 = np.abs(field.up) ** 2, np.abs(field.down) ** 2
+    return bohm._local_spin(up2 - down2, up2 + down2)
 
 
 def cell_current(field, cfg):
     """The stepper's edge current averaged onto the cell centers."""
-    j = bohm._edge_current((field.up, field.down), cfg.dx)
+    j = sum(bohm._edge_current(c, cfg.dx) for c in (field.up, field.down))
     return 0.5 * (j[:-1] + j[1:])
 
 
@@ -463,6 +494,23 @@ class TestSampling:
         f = bohm.prepare(default_config, 0.0)
         with pytest.raises(DomainError):
             bohm.sample_initial(f, 0, seed=1)
+
+    @pytest.mark.parametrize("n, seed", [(2.5, 1), (3, 1.5), ("3", 1),
+                                         (3, None)],
+                             ids=["fractional_n", "fractional_seed", "text_n",
+                                  "no_seed"])
+    def test_non_integer_n_or_seed_rejected(self, default_config, n, seed):
+        f = bohm.prepare(default_config, 0.0)
+        with pytest.raises(DomainError, match="non-integer"):
+            bohm.sample_initial(f, n, seed=seed)
+
+    @pytest.mark.parametrize("samples", [[], [0.1, np.nan], [np.inf]],
+                             ids=["empty", "nan", "inf"])
+    def test_ks_distance_rejects_empty_or_non_finite(self, default_config,
+                                                     samples):
+        f = bohm.prepare(default_config, 0.0)
+        with pytest.raises(DomainError, match="finite"):
+            bohm.ks_distance(samples, f)
 
     def test_negative_seed_rejected(self, default_config):
         """PCG64 takes no negative seed; the domain check says so first."""

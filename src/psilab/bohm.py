@@ -9,32 +9,34 @@ deterministic map from the initial position x0 to a measurement outcome.
 
 Units: hbar = m = mu = 1 (mu the magnetic moment), so the up component feels
 the force -b1 and the down component +b1, and lengths are in units of
-PACKET_SIGMA, the width of the packet at rest centred at 0 that ``prepare``
-builds.  Every evolution starts at t = 0.
+PACKET_SIGMA.  Every evolution starts at t = 0 from one preparation form
+(``prepare``): a packet P times the spinor (cos(theta/2), sin(theta/2)); the
+analyzer's P is at rest at x = 0, width PACKET_SIGMA, and the beam splitter
+runs its own P at theta = 0.
 
 Numerics: Crank-Nicolson stepping on a uniform grid with hard-wall
 boundaries (norm-preserving by construction); each potential's tridiagonal
 matrix is LU-factored once (LAPACK zgttrf) and every step is one zgttrs
-solve on those factors.  ``simulate`` decides once which components are live
-(one zero at the start stays so); a component's sign s (+1 up, -1 down) sets
-its potential (static + s*b1*x while the field is on) and its share s*|c|^2
-of the spin.  Each live component is an amplitude times a stepped basis
-field: a given initial field steps each live component at amplitude 1, and a
-prepared angle whose grid, static potential and packet the mirror x -> -x
-maps exactly onto themselves steps the packet once, under +b1*x, as U, with
-down = sin(theta/2) U[::-1] (the mirror swaps +b1*x and -b1*x).  Frames are
-reduced per basis field B: with W the summed |amplitude|^2 on B, the norm is
-sum W sum|B|^2 dx and the continuity entry sum W max|r_B|, the field's own
-residual for one basis at weight 1, an upper bound on a mirrored run's
-combined cos^2 r_U + sin^2 r_U[::-1].  Initial positions are inverse-CDF
-samples from |psi(0)|^2 (a seeded PCG64 generator), and trajectories come
-from the 1-D quantile map x_t = F_t^-1(F_0(x0)): guidance trajectories in
-one dimension never cross and keep the ensemble |psi|^2-distributed, so a
-point that starts at quantile u of rho_0 sits at quantile u of rho_t.  F_t
-is the cumulative density at cell edges, the integral of the midpoint edge
-current (``_edge_current``, the one current the module computes) that the
-stepper conserves exactly.  The map is ill-conditioned where F_0(x0) is
-within rounding of 0 or 1 (the far tails): rounding sets those paths.
+solve on those factors.  A component is live when its amplitude is nonzero
+(a zero one stays so); its sign s (+1 up, -1 down) sets its potential
+(static + s*b1*x while the field is on) and its share s*|c|^2 of the spin.
+Each live component is its amplitude times a basis field, P stepped under
+its own potential, so what is stepped does not depend on theta; where the
+mirror x -> -x maps the grid, static potential and P exactly onto
+themselves, P is stepped under +b1*x alone as U and down = sin(theta/2)
+U[::-1] (the mirror swaps +b1*x and -b1*x).  Frames are reduced per basis
+field B: with W the summed |amplitude|^2 on B, the norm is sum W sum|B|^2 dx
+and the continuity entry sum W max|r_B|, the field's own residual for one
+basis at weight 1, an upper bound on the combined density's residual.
+Initial positions are inverse-CDF samples from |psi(0)|^2 (a seeded PCG64
+generator), and trajectories come from the 1-D quantile map
+x_t = F_t^-1(F_0(x0)): guidance trajectories in one dimension never cross
+and keep the ensemble |psi|^2-distributed, so a point that starts at
+quantile u of rho_0 sits at quantile u of rho_t.  F_t is the cumulative
+density at cell edges, the integral of the midpoint edge current
+(``_edge_current``, the one current the module computes) that the stepper
+conserves exactly.  The map is ill-conditioned where F_0(x0) is within
+rounding of 0 or 1 (the far tails): rounding sets those paths.
 
 ``simulate`` streams the evolution: each frame is reduced and dropped; the
 record keeps the first and last fields and the last frame's rho and
@@ -46,10 +48,10 @@ positions and local spins, which the CSV and SVG writers stream to an open
 file one path at a time.
 
 Both scenes, the spin analyzer (``run_ensemble``) and the beam splitter
-(``beam_splitter_scene``), run the same pipeline (sample, simulate with the
-first ``paths`` samples tracked, map to the final frame, tally) and return
-one ``EnsembleRun``; they differ only in the rule that turns a final point
-into an OUTCOME_* value.
+(``beam_splitter_scene``), run the same pipeline (prepare, sample, simulate
+with the first ``paths`` samples tracked, map to the final frame, tally) and
+return one ``EnsembleRun``; they differ only in their packet, theta and the
+rule that turns a final point into an OUTCOME_* value.
 """
 
 from __future__ import annotations
@@ -121,6 +123,9 @@ class SternGerlachConfig:
             raise ConfigError(
                 f"t_final / dt = {self.t_final / self.dt:.3g} rounds to zero steps"
             )
+        if not abs(self.t_final / self.dt - self.n_steps) <= 1e-9 * self.n_steps:
+            raise ConfigError(f"t_final = {self.t_final!r} is not a whole number "
+                              f"of dt = {self.dt!r} steps")
         if self.static_potential is not None:
             if np.iscomplexobj(self.static_potential):
                 raise ConfigError("static potential must be real")
@@ -203,18 +208,20 @@ def _mirrored(config: SternGerlachConfig, packet: np.ndarray) -> bool:
             and (v is None or np.array_equal(v, v[::-1])))
 
 
-def prepare(config: SternGerlachConfig, theta: float) -> SpinorField:
-    """Packet at rest at x = 0, width PACKET_SIGMA, carrying the spinor
-    cos(theta/2)*up + sin(theta/2)*down."""
+def prepare(config: SternGerlachConfig, theta: float,
+            packet: np.ndarray | None = None) -> SpinorField:
+    """The preparation ``packet`` times the spinor (cos(theta/2), sin(theta/2)):
+    cos(theta/2)*packet up, sin(theta/2)*packet down.  The default packet is
+    at rest at x = 0, width PACKET_SIGMA; DomainError for a theta outside
+    [0, pi] or a packet whose shape is not the grid's."""
     if not 0.0 <= theta <= np.pi:
         raise DomainError(f"preparation angle must lie in [0, pi], got {theta!r}")
-    packet = _packet(config)
-    return SpinorField(
-        x=config.x,
-        dx=config.dx,
-        up=np.cos(theta / 2.0) * packet,
-        down=np.sin(theta / 2.0) * packet,
-    )
+    packet = _packet(config) if packet is None else np.asarray(packet)
+    if packet.shape != config.x.shape:
+        raise DomainError(f"packet of shape {packet.shape} is not on the "
+                          f"configured grid of {config.cells} cells")
+    return SpinorField(x=config.x, dx=config.dx, up=np.cos(theta / 2.0) * packet,
+                       down=np.sin(theta / 2.0) * packet)
 
 
 # ---------------------------------------------------------------------------
@@ -381,40 +388,36 @@ def _quantile_map(grid, edges, dx, q, spin, rho):
     return xs, sigmas
 
 
-def simulate(config: SternGerlachConfig, theta: float = 0.0,
-             field0: SpinorField | None = None, points=()) -> EvolutionRecord:
-    """Evolve a preparation over the full configured span, streaming frames.
+def simulate(config: SternGerlachConfig, theta: float,
+             packet: np.ndarray | None = None, points=()) -> EvolutionRecord:
+    """Evolve ``prepare(config, theta, packet)`` over the full configured
+    span, streaming frames.
 
-    The preparation is ``field0`` if given, else ``prepare(config, theta)``.
     Each frame is reduced to its norm and continuity residual and dropped.
     The tracked ``points`` (each in [x_min, x_max], else DomainError before
-    the first step) are carried through every frame by the quantile map.
-    A ``field0`` whose x is not ``config.x`` is a DomainError, also before
-    the first step.
+    the first step) are carried through every frame by the quantile map.  A
+    packet off the grid's shape is a DomainError, also before the first step.
     """
-    prepared = field0 is None
-    if prepared:
-        field0 = prepare(config, theta)
-    if not np.array_equal(field0.x, config.x):
-        raise DomainError("field0 is not on the configured grid: its x differs "
-                          "from config.x")
+    packet = np.asarray(_packet(config) if packet is None else packet)
+    field0 = prepare(config, theta, packet)
     _, q = _start_quantiles(config, field0, points)
-    # The live components, decided once: one zero at the start stays so (a
+    # The live components, read off the amplitudes: a zero one stays so (a
     # zero RHS solves to zero), so it is neither stepped nor reduced.
-    signs, comps0 = zip(*[(s, c) for s, c in ((1, field0.up), (-1, field0.down))
-                          if c.any()])
+    amplitude = {1: np.cos(theta / 2.0), -1: np.sin(theta / 2.0)}
+    signs = [s for s in (1, -1) if amplitude[s] != 0.0]
     # Terms (sign, amplitude, basis, mirrored x -> -x): each live component
-    # is its own basis at amplitude 1, but a mirror-symmetric prepared angle
-    # steps the packet P under +b1 x as U: up = cos(theta/2) U, down =
-    # sin(theta/2) U[::-1].  A basis weighs the summed amplitude^2 on it.
-    keys, bases0, weights = signs, comps0, [1.0] * len(signs)
-    terms = tuple((s, 1.0, b, False) for b, s in enumerate(signs))
-    packet = _packet(config) if prepared else None
-    if prepared and _mirrored(config, packet):
-        amplitude = {1: np.cos(theta / 2.0), -1: np.sin(theta / 2.0)}
-        keys, bases0 = (1,), (packet,)
-        terms = tuple((s, amplitude[s], 0, s < 0) for s in signs)
-        weights = [sum(amplitude[s] * amplitude[s] for s in signs)]
+    # is its amplitude times the packet stepped under its own potential, but
+    # where the mirror maps the scene onto itself one evolution U under
+    # +b1 x serves both: down = sin(theta/2) U[::-1].  A basis weighs the
+    # summed amplitude^2 on it.
+    if _mirrored(config, packet):
+        keys, terms = (1,), tuple((s, amplitude[s], 0, s < 0) for s in signs)
+    else:
+        keys = tuple(signs)
+        terms = tuple((s, amplitude[s], b, False) for b, s in enumerate(signs))
+    bases0 = (packet,) * len(keys)
+    weights = [sum(a * a for _, a, b, _ in terms if b == k)
+               for k in range(len(keys))]
 
     def densities(dens):
         """|up|^2 - |down|^2 and rho from the basis densities ``dens``."""
@@ -581,20 +584,19 @@ class EnsembleRun:
     stats: EnsembleStats
 
 
-def _run(field0: SpinorField, evolve, n: int, seed: int, paths: int,
-         outcomes_of) -> EnsembleRun:
-    """Sample n initial points from ``field0``, evolve with the first
-    ``paths`` of them tracked, carry all of them to the end and tally.
+def _run(config: SternGerlachConfig, theta: float, packet: np.ndarray | None,
+         n: int, seed: int, paths: int, outcomes_of) -> EnsembleRun:
+    """Sample n initial points from ``prepare(config, theta, packet)``,
+    ``simulate`` it with the first ``paths`` of them tracked, carry all of
+    them to the end and tally.
 
-    ``evolve(points)`` is the scene's ``simulate`` of ``field0`` with those
-    points tracked, and ``outcomes_of`` maps the integrated ensemble to one
-    OUTCOME_* per point.  DomainError for ``paths`` outside [0, n], before
-    anything is sampled.
+    ``outcomes_of`` maps the integrated ensemble to one OUTCOME_* per point.
+    DomainError for ``paths`` outside [0, n], before anything is sampled.
     """
     if not 0 <= paths <= n:
         raise DomainError(f"paths must lie in [0, n = {n}], got {paths}")
-    x0s = sample_initial(field0, n, seed)
-    record = evolve(x0s[:paths])
+    x0s = sample_initial(prepare(config, theta, packet), n, seed)
+    record = simulate(config, theta, packet, x0s[:paths])
     ens = integrate_ensemble(record, x0s)
     return EnsembleRun(record=record, x0=ens.x0,
                        stats=_stats_from_outcomes(outcomes_of(ens), seed))
@@ -603,17 +605,17 @@ def _run(field0: SpinorField, evolve, n: int, seed: int, paths: int,
 def run_ensemble(config: SternGerlachConfig, theta: float, n: int,
                  seed: int, paths: int = 0) -> EnsembleRun:
     """Spin analyzer: the outcome is the sign of the final local spin."""
-    return _run(prepare(config, theta),
-                lambda points: simulate(config, theta, points=points),
-                n, seed, paths, lambda ens: ens.outcomes)
+    return _run(config, theta, None, n, seed, paths, lambda ens: ens.outcomes)
 
 
 def ks_distance(samples: np.ndarray, field: SpinorField) -> float:
     """Kolmogorov-Smirnov distance of samples against the field's |psi|^2;
-    DomainError for no samples or a non-finite one."""
-    s = np.sort(np.asarray(samples, dtype=float))
-    if not (s.size and np.all(np.isfinite(s))):
-        raise DomainError("KS distance needs at least one sample, all finite")
+    DomainError for no samples, a non-finite one, or samples not 1-D."""
+    s = np.asarray(samples, dtype=float)
+    if not (s.ndim == 1 and s.size and np.all(np.isfinite(s))):
+        raise DomainError("KS distance needs a 1-D sequence of at least one "
+                          "sample, all finite")
+    s = np.sort(s)
     model = np.interp(s, _edges(field.x, field.dx), _cdf(field.rho(), field.dx))
     n = len(s)
     empirical_hi = np.arange(1, n + 1) / n
@@ -645,8 +647,9 @@ def beam_splitter_config() -> SternGerlachConfig:
     return replace(grid, static_potential=barrier)
 
 
-def prepare_beam_splitter(config: SternGerlachConfig, prep: str) -> SpinorField:
-    """Initial field for one of the four scene preparations.
+def prepare_beam_splitter(config: SternGerlachConfig, prep: str) -> np.ndarray:
+    """The normalized packet of one of the four scene preparations, which
+    the scene runs at theta = 0 (all of it spin up).
 
     psi1 travels rightward from x = -8.5 with wave number 5, psi2 leftward
     from x = +8.5 (both of width 1.5); plus and minus are the phased
@@ -656,16 +659,9 @@ def prepare_beam_splitter(config: SternGerlachConfig, prep: str) -> SpinorField:
         raise DomainError(f"unknown preparation {prep!r}; expected one of {BS_PREPS}")
     p1 = gaussian_packet(config.x, config.dx, -8.5, 1.5, 5.0)
     p2 = gaussian_packet(config.x, config.dx, 8.5, 1.5, -5.0)
-    if prep == "psi1":
-        amp = p1
-    elif prep == "psi2":
-        amp = p2
-    elif prep == "plus":
-        amp = (p1 + 1j * p2) / np.sqrt(2.0)
-    else:
-        amp = (p1 - 1j * p2) / np.sqrt(2.0)
-    amp = amp / np.sqrt(np.sum(np.abs(amp) ** 2) * config.dx)
-    return SpinorField(x=config.x, dx=config.dx, up=amp, down=np.zeros_like(amp))
+    amp = {"psi1": p1, "psi2": p2, "plus": (p1 + 1j * p2) / np.sqrt(2.0),
+           "minus": (p1 - 1j * p2) / np.sqrt(2.0)}[prep]
+    return amp / np.sqrt(np.sum(np.abs(amp) ** 2) * config.dx)
 
 
 def beam_splitter_scene(prep: str, n: int, seed: int,
@@ -682,10 +678,8 @@ def beam_splitter_scene(prep: str, n: int, seed: int,
         outcomes[np.abs(ens.final_x) <= 2.0 * BARRIER_WIDTH] = OUTCOME_UNRESOLVED
         return outcomes
 
-    field0 = prepare_beam_splitter(config, prep)
-    return _run(field0,
-                lambda points: simulate(config, field0=field0, points=points),
-                n, seed, paths, gates)
+    return _run(config, 0.0, prepare_beam_splitter(config, prep), n, seed,
+                paths, gates)
 
 
 def transmitted_mass(record: EvolutionRecord) -> float:

@@ -57,15 +57,18 @@ class LambdaSpace:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.size < 1:
-            raise OntologyError("lambda space needs at least one point")
-        if not w.min() > 0.0:
-            raise OntologyError("cell weights must be strictly positive")
+        if w.ndim != 1 or w.size < 1:
+            raise OntologyError("lambda space needs a 1-D sequence of at least "
+                                "one weight")
+        if not 0.0 < w.min() <= w.max() < np.inf:  # NaN fails too
+            raise OntologyError("cell weights must be finite and strictly positive")
         object.__setattr__(self, "weights", w)
         if self.coords is not None:
             c = np.asarray(self.coords, dtype=float)
             if c.shape != w.shape:
                 raise OntologyError("coords and weights must have equal length")
+            if not np.all(np.isfinite(c)):
+                raise OntologyError("coords must be finite")
             object.__setattr__(self, "coords", c)
 
     @property

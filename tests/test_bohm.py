@@ -44,6 +44,13 @@ class TestConfig:
             bohm.SternGerlachConfig(b1=1e4)  # potential-phase accuracy guard
         with pytest.raises(bohm.ConfigError, match="zero steps"):
             bohm.SternGerlachConfig(t_final=1e-4)  # rounds to 0 steps of 1e-3
+        for t_final in (0.0015, 3.0004, 1e-4 + 1.0):  # 1.5, 3000.4, 1000.1 steps
+            with pytest.raises(bohm.ConfigError, match="whole number"):
+                bohm.SternGerlachConfig(t_final=t_final)
+        for dt, t_final in ((1e-3, 3.0), (1e-3, 0.3), (2e-3, 2.5), (1e-3, 4.0),
+                            (1e-3, 1.5), (1e-3, 0.128)):
+            cfg = bohm.SternGerlachConfig(dt=dt, t_final=t_final)
+            assert cfg.n_steps * dt == pytest.approx(t_final, rel=1e-12)
         for key in ("x_min", "x_max", "dt", "t_final", "b1"):
             for bad in (np.nan, np.inf, -np.inf):
                 with pytest.raises(bohm.ConfigError, match="finite"):
@@ -68,6 +75,10 @@ class TestConfig:
         assert up_mass == pytest.approx(np.cos(np.pi / 6) ** 2, abs=1e-12)
         with pytest.raises(DomainError):
             bohm.prepare(default_config, -0.1)
+        packet = bohm.gaussian_packet(f.x, f.dx, 2.0, 1.5, -1.0)
+        g = bohm.prepare(default_config, np.pi / 3, packet)
+        assert np.array_equal(g.up, np.cos(np.pi / 6) * packet)
+        assert np.array_equal(g.down, np.sin(np.pi / 6) * packet)
 
     def test_nan_field_rejected(self, default_config):
         f = bohm.prepare(default_config, 0.0)
@@ -140,55 +151,54 @@ def banded_reference_step(config, potential):
     return step
 
 
-def reference_diagnostics(config, field0):
-    """rho, sigma, norms and continuity of ``simulate`` with every component
-    evaluated, an identically zero one included; then the norms and
-    continuity summed per component, each component its own basis field at
-    amplitude 1: the sum of its norms and the sum of its largest residuals."""
+def reference_diagnostics(config, theta):
+    """rho, sigma, norms and continuity of ``simulate`` at ``theta`` on two
+    evolutions: the packet P stepped under +b1 x as U and under -b1 x as D,
+    both evaluated even at a zero amplitude, with the densities
+    cos^2(theta/2) |U|^2 and sin^2(theta/2) |D|^2, and the norms and largest
+    residuals of U and D summed at the weights cos^2 and sin^2."""
     dx, dt = config.dx, config.dt
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    weights = (c * c, s * s)
 
-    def frame(up, down):
-        up2, down2 = np.abs(up) ** 2, np.abs(down) ** 2
+    def frame(u, d):
+        up2, down2 = weights[0] * np.abs(u) ** 2, weights[1] * np.abs(d) ** 2
         rho = up2 + down2
         with np.errstate(divide="ignore", invalid="ignore"):
             sig = (up2 - down2) / rho
         sig[rho < bohm.NODE_EPS_FACTOR * np.max(rho)] = np.nan
         return rho, np.clip(sig, -1.0, 1.0)
 
-    def residual(a0, a1, rho0, rho1):
+    def residual(b0, b1):
         j = np.zeros(config.cells + 1)
-        for b0, b1 in zip(a0, a1):
-            mid = 0.5 * (b0 + b1)
-            j[1:-1] += np.imag(np.conj(mid[:-1]) * mid[1:])
+        mid = 0.5 * (b0 + b1)
+        j[1:-1] += np.imag(np.conj(mid[:-1]) * mid[1:])
         j *= 1.0 / dx
+        rho0, rho1 = np.abs(b0) ** 2, np.abs(b1) ** 2
         return float(np.max(np.abs((rho1 - rho0) / dt + np.diff(j) / dx)))
 
-    def basis_norm(comps):
-        return sum(np.sum(np.abs(c) ** 2) for c in comps) * dx
+    def norm(bases):
+        return sum(w * np.sum(np.abs(b) ** 2) for w, b in zip(weights, bases)) * dx
 
-    prev = (field0.up, field0.down)
+    packet = bohm.prepare(config, 0.0).up
+    prev = (packet, packet)
     rho, sig = frame(*prev)
-    rhos, sigs, cont = [rho], [sig], []
-    basis_norms, basis_cont = [basis_norm(prev)], []
-    for comps in bohm._cn_steps(config, (1, -1), (field0.up, field0.down),
-                                config.n_steps):
-        rho, sig = frame(*comps)
-        cont.append(residual(prev, comps, rhos[-1], rho))
-        basis_norms.append(basis_norm(comps))
-        basis_cont.append(sum(
-            residual((a0,), (a1,), np.abs(a0) ** 2, np.abs(a1) ** 2)
-            for a0, a1 in zip(prev, comps)))
+    rhos, sigs, norms, cont = [rho], [sig], [norm(prev)], []
+    for bases in bohm._cn_steps(config, (1, -1), prev, config.n_steps):
+        rho, sig = frame(*bases)
+        norms.append(norm(bases))
+        cont.append(sum(w * residual(b0, b1)
+                        for w, b0, b1 in zip(weights, prev, bases)))
         rhos.append(rho)
         sigs.append(sig)
-        prev = comps
-    rho = np.array(rhos)
-    return (rho, np.array(sigs), np.sum(rho, axis=1) * dx, np.array(cont),
-            np.array(basis_norms), np.array(basis_cont))
+        prev = bases
+    return np.array(rhos), np.array(sigs), np.array(norms), np.array(cont)
 
 
-def reference_paths(config, rho, sigma, x0):
+def reference_paths(config, rho0, rho, sigma, x0):
     """The quantile map over a full per-frame history: (frames, points)
-    positions F_t^-1(F_0(x0)) and the local spin interpolated there."""
+    positions F_t^-1(F_0(x0)), F_0 the cumulative ``rho0`` (the prepared
+    field's density), and the local spin interpolated there."""
     edges = np.concatenate(([config.x[0] - 0.5 * config.dx],
                             config.x + 0.5 * config.dx))
 
@@ -196,21 +206,10 @@ def reference_paths(config, rho, sigma, x0):
         c = np.concatenate(([0.0], np.cumsum(r) * config.dx))
         return c / c[-1]
 
-    u = np.interp(x0, edges, cdf(rho[0]))
+    u = np.interp(x0, edges, cdf(rho0))
     xs = np.array([np.interp(u, cdf(r), edges) for r in rho])
     sigmas = np.array([np.interp(x, config.x, s) for x, s in zip(xs, sigma)])
     return xs, sigmas
-
-
-def field_with_dead(cfg, dead):
-    """The packet with component ``dead`` ("up" or "down") identically zero,
-    or both components live at theta = pi/2 (``dead`` = "none")."""
-    if dead == "none":
-        return bohm.prepare(cfg, np.pi / 2)
-    packet = bohm.prepare(cfg, 0.0).up
-    zero = np.zeros_like(packet)
-    up, down = (packet, zero) if dead == "down" else (zero, packet)
-    return bohm.SpinorField(x=cfg.x, dx=cfg.dx, up=up, down=down)
 
 
 def uneven_potential_config(**fields):
@@ -222,43 +221,44 @@ def uneven_potential_config(**fields):
 
 
 class TestStepper:
-    @pytest.mark.parametrize("dead", ["down", "up", "none"])
-    def test_zero_component_diagnostics_match_reference(self, dead):
-        """The streamed record equals the full per-frame history reduced
-        afterwards, with a zero component's density and current skipped
-        (``dead``) or both components live at theta = pi/2.  Each live
-        component of a given field is its own basis field, so with both live
-        the norms and residuals are summed per basis."""
+    @pytest.mark.parametrize("theta", [0.0, 1.0], ids=["down", "none"])
+    def test_zero_component_diagnostics_match_reference(self, monkeypatch,
+                                                        theta):
+        """Where no mirror is used, the streamed record equals the full
+        per-frame history reduced afterwards, with the zero down component's
+        density and current skipped (theta = 0) or both components live.
+        Each live component is its amplitude times its own basis field, so
+        the norms and residuals are summed per basis at amplitude^2."""
+        monkeypatch.setattr(bohm, "_mirrored", lambda *args: False)
         cfg = bohm.SternGerlachConfig(t_final=0.3)
-        field0 = field_with_dead(cfg, dead)
+        field0 = bohm.prepare(cfg, theta)
         x0 = bohm.sample_initial(field0, 8, seed=4)
-        rec = bohm.simulate(cfg, field0=field0, points=x0)
-        rho, sigma, norms, continuity, basis_norms, basis_continuity = (
-            reference_diagnostics(cfg, field0))
-        if dead == "none":
-            norms, continuity = basis_norms, basis_continuity
-        xs, sigmas = reference_paths(cfg, rho, sigma, x0)
+        rec = bohm.simulate(cfg, theta, points=x0)
+        rho, sigma, norms, continuity = reference_diagnostics(cfg, theta)
+        xs, sigmas = reference_paths(cfg, field0.rho(), rho, sigma, x0)
         got = (rec.norms, rec.continuity, rec.paths_x, rec.paths_sigma)
         for a, b in zip(got, (norms, continuity, xs, sigmas)):
             assert np.array_equal(a, b, equal_nan=True)
         assert rec.paths_x.shape == (cfg.n_steps + 1, 8)
-        if dead != "none":
-            assert not getattr(rec.final, dead).any()
+        if theta == 0.0:
+            assert not rec.final.down.any()
 
-    @pytest.mark.parametrize("dead", ["down", "none"])
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 2], ids=["down", "none"])
     @pytest.mark.parametrize("frames", [bohm.PATH_BLOCK - 1, bohm.PATH_BLOCK,
                                         bohm.PATH_BLOCK + 1,
                                         2 * bohm.PATH_BLOCK + 1])
-    def test_blocked_path_map_matches_reference(self, frames, dead):
+    def test_blocked_path_map_matches_reference(self, monkeypatch, frames,
+                                                theta):
         """Tracked points mapped a block of frames at a time equal the
         per-frame quantile map over the full history, with the last block
         short, full or holding one frame."""
+        monkeypatch.setattr(bohm, "_mirrored", lambda *args: False)
         cfg = bohm.SternGerlachConfig(t_final=(frames - 1) * 1e-3)
-        field0 = field_with_dead(cfg, dead)
+        field0 = bohm.prepare(cfg, theta)
         x0 = bohm.sample_initial(field0, 8, seed=4)
-        rec = bohm.simulate(cfg, field0=field0, points=x0)
-        rho, sigma, *_ = reference_diagnostics(cfg, field0)
-        xs, sigmas = reference_paths(cfg, rho, sigma, x0)
+        rec = bohm.simulate(cfg, theta, points=x0)
+        rho, sigma, *_ = reference_diagnostics(cfg, theta)
+        xs, sigmas = reference_paths(cfg, field0.rho(), rho, sigma, x0)
         assert rec.paths_x.shape == (frames, 8)
         assert np.array_equal(rec.paths_x, xs, equal_nan=True)
         assert np.array_equal(rec.paths_sigma, sigmas, equal_nan=True)
@@ -284,7 +284,7 @@ class TestStepper:
             psi = bohm.prepare(cfg, np.pi / 2).up
         else:
             cfg = bohm.beam_splitter_config()
-            psi = bohm.prepare_beam_splitter(cfg, "plus").up
+            psi = bohm.prepare_beam_splitter(cfg, "plus")
         potential = bohm._potential(cfg, (1, -1)[component] if field_on else 0)
         step = bohm._stepper(cfg, potential)
         reference = banded_reference_step(cfg, potential)
@@ -296,7 +296,7 @@ class TestStepper:
     @pytest.mark.parametrize("prep", bohm.BS_PREPS)
     def test_beam_splitter_down_stays_zero(self, prep):
         cfg = bohm.beam_splitter_config()
-        rec = bohm.simulate(cfg, field0=bohm.prepare_beam_splitter(cfg, prep))
+        rec = bohm.simulate(cfg, 0.0, bohm.prepare_beam_splitter(cfg, prep))
         assert not rec.final.down.any()
 
     def test_spin_up_down_stays_zero(self, default_config):
@@ -358,15 +358,16 @@ class TestStepper:
         assert len(calls) == per_step * config.n_steps
 
     @pytest.mark.parametrize("theta", [np.pi / 2, 1.0])
-    def test_mirrored_evolution_matches_two_evolutions(self, theta):
-        """The prepared angle read off one mirrored evolution agrees with the
-        same field passed as field0, whose components are stepped under
+    def test_mirrored_evolution_matches_two_evolutions(self, monkeypatch,
+                                                       theta):
+        """The angle read off one mirrored evolution agrees with the same
+        run with the mirror check failed, which steps the packet under
         +b1 x and -b1 x separately."""
         cfg = bohm.SternGerlachConfig(t_final=0.3)
-        field0 = bohm.prepare(cfg, theta)
-        x0 = bohm.sample_initial(field0, 8, seed=4)
+        x0 = bohm.sample_initial(bohm.prepare(cfg, theta), 8, seed=4)
         rec = bohm.simulate(cfg, theta, points=x0)
-        ref = bohm.simulate(cfg, field0=field0, points=x0)
+        monkeypatch.setattr(bohm, "_mirrored", lambda *args: False)
+        ref = bohm.simulate(cfg, theta, points=x0)
         peak = np.max(np.abs(bohm.prepare(cfg, 0.0).up))
         for comp in ("up", "down"):
             diff = getattr(rec.final, comp) - getattr(ref.final, comp)
@@ -377,14 +378,28 @@ class TestStepper:
         assert np.array_equal(np.isnan(rec.paths_sigma),
                               np.isnan(ref.paths_sigma))
 
-    def test_mirrored_run_outcomes_match_two_evolutions(self, default_config):
+    def test_mirrored_run_outcomes_match_two_evolutions(self, monkeypatch,
+                                                        default_config):
         """All N = 10^4 outcomes of the one-evolution run equal those read
         off the two-evolution reference."""
         run = bohm.run_ensemble(default_config, np.pi / 2, 10_000, seed=1)
-        field0 = bohm.prepare(default_config, np.pi / 2)
-        ref = bohm.simulate(default_config, field0=field0)
+        monkeypatch.setattr(bohm, "_mirrored", lambda *args: False)
+        ref = bohm.simulate(default_config, np.pi / 2)
         got = bohm.integrate_ensemble(run.record, run.x0).outcomes
         assert np.array_equal(got, bohm.integrate_ensemble(ref, run.x0).outcomes)
+
+    @pytest.mark.parametrize("theta", [np.pi / 2, 1.0, 2.0])
+    def test_stepped_fields_do_not_depend_on_theta(self, theta):
+        """Off the mirror (x != -x[::-1] in floating point at 1000 cells) the
+        packet is stepped at amplitude 1 under each potential, so each final
+        component is its amplitude times that of the pure run, exactly."""
+        cfg = bohm.SternGerlachConfig(cells=1000, t_final=0.1)
+        assert not bohm._mirrored(cfg, bohm.prepare(cfg, 0.0).up)
+        rec = bohm.simulate(cfg, theta)
+        up = bohm.simulate(cfg, 0.0).final.up
+        down = bohm.simulate(cfg, np.pi).final.down
+        assert np.array_equal(rec.final.up, np.cos(theta / 2.0) * up)
+        assert np.array_equal(rec.final.down, np.sin(theta / 2.0) * down)
 
     def test_one_evolution_one_residual(self, default_config, record_half):
         """The mirrored pi/2 run reduces the one packet evolution that the
@@ -510,6 +525,16 @@ class TestSampling:
                                                      samples):
         f = bohm.prepare(default_config, 0.0)
         with pytest.raises(DomainError, match="finite"):
+            bohm.ks_distance(samples, f)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (2, 5), ()],
+                             ids=["square", "two_rows", "scalar"])
+    def test_ks_distance_rejects_samples_not_1d(self, default_config, shape):
+        """A (5, 5) array would read as 25 samples sorted per row, and a
+        (2, 5) one would not broadcast against its 5 empirical steps."""
+        f = bohm.prepare(default_config, 0.0)
+        samples = np.linspace(-1.0, 1.0, int(np.prod(shape))).reshape(shape)
+        with pytest.raises(DomainError, match="1-D"):
             bohm.ks_distance(samples, f)
 
     def test_negative_seed_rejected(self, default_config):
@@ -654,20 +679,21 @@ def test_initial_points_outside_the_grid_rejected(record_half, monkeypatch,
         bohm.simulate(record_half.config, np.pi / 2, points=x0)
 
 
-@pytest.mark.parametrize("grid", [
-    {"x_min": -30.0, "x_max": 40.0},  # same dx and cells, shifted
-    {"x_min": -20.0, "x_max": 20.0},  # same cells, other extent
-    {"cells": 1024},                  # other cell count
-], ids=["shifted", "other_extent", "other_cells"])
+@pytest.mark.parametrize("shape", [(1024,), (1792, 1)],
+                         ids=["other_cells", "column"])
 def test_field_off_the_configured_grid_rejected(default_config, monkeypatch,
-                                                grid):
+                                                shape):
+    """A packet that does not have the grid's shape is a DomainError before
+    the first step."""
     def no_step(*args):
-        raise AssertionError("stepped before the field's grid was checked")
+        raise AssertionError("stepped before the packet's shape was checked")
 
     monkeypatch.setattr(bohm, "_cn_steps", no_step)
-    field0 = bohm.prepare(bohm.SternGerlachConfig(**grid), 0.0)
+    packet = np.ones(shape, dtype=complex)
     with pytest.raises(DomainError, match="grid"):
-        bohm.simulate(default_config, field0=field0)
+        bohm.simulate(default_config, 0.0, packet)
+    with pytest.raises(DomainError, match="grid"):
+        bohm.prepare(default_config, 0.0, packet)
 
 
 @pytest.mark.parametrize("scene", ["analyzer", "beam_splitter"])
@@ -741,8 +767,8 @@ class TestBeamSplitter:
 
     def test_plus_minus_share_initial_support(self):
         cfg = bohm.beam_splitter_config()
-        f_plus = bohm.prepare_beam_splitter(cfg, "plus")
-        f_minus = bohm.prepare_beam_splitter(cfg, "minus")
+        f_plus = bohm.prepare(cfg, 0.0, bohm.prepare_beam_splitter(cfg, "plus"))
+        f_minus = bohm.prepare(cfg, 0.0, bohm.prepare_beam_splitter(cfg, "minus"))
         # Equal up to the exponentially small tail overlap of the packets.
         assert np.max(np.abs(f_plus.rho() - f_minus.rho())) < 1e-6
         xs = bohm.sample_initial(f_plus, 400, seed=1)

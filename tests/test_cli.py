@@ -283,6 +283,7 @@ class TestBohmSg:
     ["bohm-sg", "--n", "0"],
     ["bohm-bs", "--n", "0"],
     ["bohm-bs", "--paths", "-3"],  # negative without an artifact flag
+    ["bohm-sg", "--t-final", "3.0004"],  # 3000.4 steps of dt = 1e-3
 ])
 def test_bohm_outside_domain_is_usage_error(tmp_path, capsys, args):
     assert run([*args, "--out", str(tmp_path)]) == 2

@@ -24,6 +24,9 @@ class TestTypes:
             ont.LambdaSpace(weights=np.array([1.0, 0.0]))
         with pytest.raises(ont.OntologyError):
             ont.LambdaSpace(weights=np.array([]))
+        for weights in ([1.0, np.inf], np.ones((2, 2)), 1.0):
+            with pytest.raises(ont.OntologyError):
+                ont.LambdaSpace(weights=weights)
 
     def test_density_normalization(self):
         space = simple_space()
@@ -53,13 +56,14 @@ class TestTypes:
 
     @pytest.mark.parametrize("build", [
         lambda: ont.LambdaSpace(weights=[1.0, np.nan]),
+        lambda: ont.LambdaSpace(weights=np.ones(2), coords=[0.0, np.nan]),
         lambda: ont.PreparationDensity(ont.LambdaSpace(weights=np.ones(2)), "nan",
                                        np.array([1.0, np.nan])),
         lambda: ont.UniversalResponse(("a", "b"), np.array([[1.0, np.nan],
                                                             [0.0, 0.5]])),
         lambda: ont.ContextualResponse(("a", "b"), {("p", "c"): np.array(
             [[1.0, np.nan], [0.0, 0.5]])}),
-    ], ids=["space", "density", "universal", "contextual"])
+    ], ids=["space", "coords", "density", "universal", "contextual"])
     def test_nan_rejected(self, build):
         with pytest.raises(ont.OntologyError):
             build()

@@ -30,6 +30,10 @@ CASES = {
     "bohm-sg-options": ["bohm-sg", "--theta", "1.0", "--n", "300", "--seed", "7",
                         "--cells", "1024", "--dt", "2e-3", "--t-final", "2.5",
                         "--b1", "-3.0", "--csv", "--svg"],
+    # Off the exact mirror (x != -x[::-1] in floating point at 1000 cells):
+    # the one case that steps the packet under +b1 x and -b1 x both.
+    "bohm-sg-cells1000": ["bohm-sg", "--cells", "1000", "--n", "2000",
+                          "--csv", "--svg"],
     "pbr-table": ["pbr-table"],
     "pbr-check-overlap": ["pbr-check", "--scene", "overlap"],
     "pbr-check-disjoint": ["pbr-check", "--scene", "disjoint"],
